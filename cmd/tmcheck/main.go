@@ -226,7 +226,8 @@ func runCertify(exec *core.Execution, check string) {
 // runRecover judges a durable commit log offline: scan (read-only),
 // report the recovery plan, replay into a recorded store, certify each
 // partition's replay history. A corrupt log is refused with its
-// witness; torn tails are reported but — by design — accepted.
+// witness; torn tails and untrimmed preallocation (zero tails) are
+// reported separately but — by design — accepted.
 func runRecover(dir string) {
 	backend, err := wal.NewFileBackend(dir)
 	if err != nil {
@@ -260,6 +261,10 @@ func runRecover(dir string) {
 	}
 	for _, tt := range scan.Torn {
 		fmt.Printf("torn tail truncated: segment %s, offset %d: %s\n", tt.Segment, tt.Offset, tt.Reason)
+	}
+	for _, zt := range scan.ZeroTails {
+		fmt.Printf("zero tail skipped: segment %s, offset %d: %d preallocated byte(s) never written (a crashed generation's last segment, not a tear)\n",
+			zt.Segment, zt.Offset, zt.Bytes)
 	}
 
 	// Replay into a fresh store with one recorder per partition, so the

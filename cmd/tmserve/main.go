@@ -110,9 +110,9 @@ func main() {
 			for _, h := range rec.Horizon {
 				replayed += h
 			}
-			fmt.Printf("tmserve: recovered %s from %s: %d segments, %d commits replayed, %d dropped past gaps, %d torn tails, ack %s\n",
+			fmt.Printf("tmserve: recovered %s from %s: %d segments, %d commits replayed, %d dropped past gaps, %d torn tails, %d zero tails (%d preallocated bytes skipped), ack %s\n",
 				map[bool]string{true: "clean", false: "crashed"}[rec.Clean],
-				*walDir, rec.Segments, replayed, rec.DroppedRecords(), len(rec.Torn), *walAck)
+				*walDir, rec.Segments, replayed, rec.DroppedRecords(), len(rec.Torn), len(rec.ZeroTails), rec.ZeroTailBytes(), *walAck)
 		}
 	}
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}

@@ -171,6 +171,7 @@ func All(h *History) map[string]Report {
 
 // decide runs the certification pipeline for one condition:
 // prechecks → base constraint graph → cycle check → commit-stamp
+// candidate → read-modify-write anti-dependencies + topological
 // candidate → saturation (inferred anti-dependency edges) → saturated
 // topological candidate → exact search on small histories → Unknown.
 func decide(h *History, p *prep, condition string) Report {
@@ -230,6 +231,23 @@ func decide(h *History, p *prep, condition string) Report {
 	if replayCandidate(p, si, commitStampOrder(p, si)) {
 		rep.Verdict = Certified
 		rep.Method = "commit-order replay"
+		return finish(rep)
+	}
+
+	// The recorder stamps a commit after its publication, so on a
+	// multi-core run a committer is now and then stamped after a
+	// transaction that already read from it, and the stamp order replays
+	// the reader first. The forced edges know better: with the
+	// anti-dependencies of read-modify-write chains added (one pass), a
+	// topological order tie-broken toward the stamps repairs those
+	// inversions — where saturation, past reachCap transactions, would
+	// only run out of budget and answer Unknown. (A cycle among the new
+	// edges is left for saturate's first check to witness.)
+	g.inferSuccessors(p)
+	rep.Edges = g.edges
+	if order, ok := g.topoOrder(p, si); ok && replayCandidate(p, si, order) {
+		rep.Verdict = Certified
+		rep.Method = "forced-order replay"
 		return finish(rep)
 	}
 

@@ -265,3 +265,36 @@ func TestCheckSingleCondition(t *testing.T) {
 		t.Fatalf("unknown condition must yield Unknown, got %s", bad.Verdict)
 	}
 }
+
+func TestLateCommitStampCertifiesByForcedOrder(t *testing.T) {
+	// What a multi-core recorder produces: T1 increments x and is
+	// descheduled between publishing and taking its end stamp, so T2 —
+	// which read T1's x and incremented it again — is stamped first, and
+	// T3, which read T1's x and wrote only y, last. The stamp order
+	// (T2, T1, T3) replays nothing; reads-from alone orders T1 first but
+	// lets T2 overwrite x before T3 reads it. T2 read-modify-wrote T1's
+	// version, so every other reader of that version precedes T2: the
+	// one order left, T1 T3 T2, is found without saturation.
+	rd := func(item int32, v int64) certify.Op { return certify.Op{Global: true, Item: item, Value: v} }
+	wr := func(item int32, v int64) certify.Op { return certify.Op{Write: true, Item: item, Value: v} }
+	h := &certify.History{
+		Items: []string{"x", "y"},
+		Txns: []certify.Txn{
+			{ID: 1, Status: core.TxCommitted, Lo: 1, Begin: 1, End: 20, Ops: []certify.Op{rd(0, 0), wr(0, 1)}},
+			{ID: 3, Status: core.TxCommitted, Lo: 3, Begin: 3, End: 30, Ops: []certify.Op{rd(0, 1), wr(1, 7)}},
+			{ID: 2, Status: core.TxCommitted, Lo: 5, Begin: 5, End: 10, Ops: []certify.Op{rd(0, 1), wr(0, 2)}},
+		},
+	}
+	for cond, rep := range certify.All(h) {
+		if rep.Verdict != certify.Certified || rep.Method != "forced-order replay" {
+			t.Errorf("%s: %s via %q (%s), want certified via forced-order replay", cond, rep.Verdict, rep.Method, rep.Reason)
+		}
+	}
+	// A lost update is still a violation: T4 also read-modify-wrote T1's
+	// version, so T2 and T4 each must precede the other.
+	h.Txns = append(h.Txns, certify.Txn{ID: 4, Status: core.TxCommitted, Lo: 6, Begin: 6, End: 12,
+		Ops: []certify.Op{rd(0, 1), wr(0, 4)}})
+	if rep := certify.Check(h, certify.Serializability); rep.Verdict != certify.Violated {
+		t.Errorf("lost update: %s via %q, want violated", rep.Verdict, rep.Method)
+	}
+}

@@ -530,6 +530,39 @@ func saturate(g *graph, p *prep, condition string) satResult {
 	}
 }
 
+// inferSuccessors adds the anti-dependencies a read-modify-write chain
+// forces, in one pass and without reachability. When S read x from W
+// and wrote x itself, W→S is a base edge, so saturate's rule — a writer
+// of x forced after W is forced after every reader of x from W — holds
+// for S outright. These are the edges that pin a version order on an
+// RMW-heavy history (a counter store's increments), and they are cheap
+// where saturate is not: past reachCap transactions it can neither
+// build the closure nor afford writers×reads pairs.
+func (g *graph) inferSuccessors(p *prep) {
+	type version struct{ writer, item int32 }
+	succ := make(map[version][]int32)
+	for _, r := range p.reads {
+		if r.ambiguous || r.writer < 0 {
+			continue
+		}
+		ws := p.writers[r.item]
+		if j := sort.Search(len(ws), func(i int) bool { return ws[i] >= r.reader }); j < len(ws) && ws[j] == r.reader {
+			v := version{r.writer, r.item}
+			succ[v] = append(succ[v], r.reader)
+		}
+	}
+	for _, r := range p.reads {
+		if r.ambiguous || r.writer < 0 {
+			continue
+		}
+		for _, s := range succ[version{r.writer, r.item}] {
+			if s != r.reader {
+				g.addEdge(g.rNode(r.reader), g.wNode(s))
+			}
+		}
+	}
+}
+
 // topoOrder returns the real nodes in a topological order of the full
 // graph, ties broken toward commit-stamp order (and R before W under
 // SI), or ok=false if a cycle remains.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -152,6 +153,27 @@ func TestExecutionStatus(t *testing.T) {
 	}
 	if got := e.StatusOf(9); got != TxLive {
 		t.Errorf("unknown txn status = %v, want live", got)
+	}
+	// A verdict stands whatever follows it; a commit invocation stops
+	// being pending once the transaction invokes something else.
+	e.Steps = append(e.Steps,
+		Step{Txn: 4, Prim: PrimEvent, Event: &Event{Txn: 4, Op: OpTryCommit, Inv: true}},
+		Step{Txn: 4, Prim: PrimEvent, Event: &Event{Txn: 4, Op: OpTryCommit, Status: StatusAborted}},
+		Step{Txn: 4, Prim: PrimEvent, Event: &Event{Txn: 4, Op: OpTryCommit, Inv: true}},
+		Step{Txn: 5, Prim: PrimEvent, Event: &Event{Txn: 5, Op: OpTryCommit, Inv: true}},
+		Step{Txn: 5, Prim: PrimEvent, Event: &Event{Txn: 5, Op: OpRead, Inv: true}},
+	)
+	want := map[TxID]TxStatus{1: TxCommitted, 3: TxCommitPending, 4: TxAborted, 5: TxLive}
+	if got := e.Statuses(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Statuses() = %v, want %v", got, want)
+	}
+	for id, st := range want {
+		if got := e.StatusOf(id); got != st {
+			t.Errorf("StatusOf(%d) = %v, Statuses has %v", id, got, st)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { e.StatusOf(4) }); n != 0 {
+		t.Errorf("StatusOf allocates %v times per call", n)
 	}
 }
 

@@ -91,30 +91,49 @@ func (e *Execution) TxIDs() []TxID {
 }
 
 // StatusOf computes the fate of transaction t in the execution from its
-// events.
+// events. It scans the whole execution without allocating; ask Statuses
+// once for the fate of many transactions.
 func (e *Execution) StatusOf(t TxID) TxStatus {
 	status := TxLive
-	pendingCommit := false
 	for i := range e.Steps {
-		ev := e.Steps[i].Event
-		if ev == nil || ev.Txn != t {
-			continue
+		if ev := e.Steps[i].Event; ev != nil && ev.Txn == t {
+			status = status.after(ev)
 		}
-		switch {
-		case ev.Inv && ev.Op == OpTryCommit:
-			pendingCommit = true
-		case !ev.Inv && ev.Status == StatusCommitted:
-			return TxCommitted
-		case !ev.Inv && ev.Status == StatusAborted:
-			return TxAborted
-		case ev.Inv:
-			pendingCommit = false
-		}
-	}
-	if pendingCommit {
-		return TxCommitPending
 	}
 	return status
+}
+
+// Statuses computes the fate of every transaction with an event in the
+// execution, in one pass over the steps. Transactions without events are
+// absent, and read as TxLive.
+func (e *Execution) Statuses() map[TxID]TxStatus {
+	out := make(map[TxID]TxStatus)
+	for i := range e.Steps {
+		if ev := e.Steps[i].Event; ev != nil {
+			out[ev.Txn] = out[ev.Txn].after(ev)
+		}
+	}
+	return out
+}
+
+// after is the fate of a transaction in state s once ev, its next event,
+// has happened: committed or aborted by its first such response, else
+// commit-pending while its last invocation is an unanswered tryCommit,
+// else live.
+func (s TxStatus) after(ev *Event) TxStatus {
+	switch {
+	case s == TxCommitted || s == TxAborted:
+		return s // the first verdict stands
+	case ev.Inv && ev.Op == OpTryCommit:
+		return TxCommitPending
+	case !ev.Inv && ev.Status == StatusCommitted:
+		return TxCommitted
+	case !ev.Inv && ev.Status == StatusAborted:
+		return TxAborted
+	case ev.Inv:
+		return TxLive
+	}
+	return s
 }
 
 // Interval returns the active execution interval of t in step indices:

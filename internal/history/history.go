@@ -168,9 +168,10 @@ func FromExecution(e *core.Execution) *View {
 	}
 
 	v := &View{NProcs: e.NProcs}
+	statuses := e.Statuses()
 	for _, id := range order {
 		t := byID[id]
-		t.Status = e.StatusOf(id)
+		t.Status = statuses[id]
 		if t.BeginIndex < 0 {
 			t.BeginIndex = t.IntervalLo
 		}

@@ -9,6 +9,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 
 	"pcltm/internal/core"
 )
@@ -241,10 +242,6 @@ func sortedSpecIDs(e *core.Execution) []core.TxID {
 	for id := range e.Specs {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }

@@ -1,11 +1,15 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
+	"pcltm/internal/certify"
 	"pcltm/internal/consistency"
 	"pcltm/internal/core"
 	"pcltm/internal/dap"
+	"pcltm/internal/exectest"
 	"pcltm/internal/history"
 	"pcltm/internal/machine"
 	"pcltm/internal/stms"
@@ -114,6 +118,43 @@ func TestObjectIdentityPreserved(t *testing.T) {
 			}
 		} else {
 			byName[s.ObjName] = s.Obj
+		}
+	}
+}
+
+// TestServedScaleHistoryLoads pins the /history path at the size a load
+// test produces: encoding, decoding and building the certifier's input
+// from a 20k-transaction execution were each quadratic (an insertion
+// sort over the spec ids, one whole-execution status scan per
+// transaction) and took 30 s together.
+func TestServedScaleHistoryLoads(t *testing.T) {
+	const txns = 20_000
+	b := exectest.New().NProcs(4)
+	for i := txns; i >= 1; i-- { // specs arrive in map order anyway; ids descend here
+		id, item := core.TxID(i), core.Item(fmt.Sprintf("k%d", i%512))
+		ops := []core.TxOp{core.W(item, core.Value(i))}
+		b.Spec(core.TxSpec{ID: id, Proc: core.ProcID(i % 4), Ops: ops})
+		b.SeqTxn(core.ProcID(i%4), id, ops...)
+	}
+	start := time.Now()
+	data, err := Encode(b.Exec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := certify.FromExecution(back)
+	if d := time.Since(start); d > 2*time.Second && !raceEnabled {
+		t.Fatalf("encode + decode + load of %d transactions took %v", txns, d)
+	}
+	if len(h.Txns) != txns {
+		t.Fatalf("loaded %d transactions, want %d", len(h.Txns), txns)
+	}
+	for i := range h.Txns {
+		if h.Txns[i].Status != core.TxCommitted {
+			t.Fatalf("transaction %d loaded as %v, want committed", i, h.Txns[i].Status)
 		}
 	}
 }

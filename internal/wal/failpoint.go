@@ -24,10 +24,13 @@ const (
 	// and leaves no bytes behind.
 	FailCrash FailKind = iota
 	// FailTear writes only the first TearBytes bytes of the triggering
-	// append, then crashes — the torn-record geometry.
+	// append, then crashes — the torn-record geometry. Inside a
+	// preallocation the tear is rounded down to a sector boundary: what a
+	// disk (whole sectors) or a killed write call (whole pages) can leave.
 	FailTear
-	// FailSync makes the triggering Sync return an error (no crash; the
-	// log must poison itself rather than ack on a failed fsync).
+	// FailSync makes the triggering Sync — or Close, which syncs — return
+	// an error (no crash; the log must poison itself rather than ack on a
+	// failed fsync).
 	FailSync
 	// FailLostSync makes the triggering Sync *lie*: it returns success
 	// but the segment's durable horizon does not advance, so a later
@@ -38,8 +41,8 @@ const (
 )
 
 // FailPoint arms one fault: the Nth counted operation (1-based, counted
-// across appends, syncs and creates in wrapper call order) triggers
-// Kind.
+// across creates, preallocations, appends, syncs and closes in wrapper
+// call order) triggers Kind.
 type FailPoint struct {
 	Kind FailKind
 	// N is the global operation number that triggers the fault.
@@ -50,7 +53,7 @@ type FailPoint struct {
 }
 
 // FailBackend wraps a Backend with numbered crash points. Every
-// Append/Sync/Create increments one shared counter; when the counter
+// Create/Preallocate/Append/Sync/Close increments one shared counter; when the counter
 // reaches the armed FailPoint's N, the fault fires. After a crash-kind
 // fault, every operation returns ErrInjectedCrash — the surviving bytes
 // (plus whatever the inner backend's durability model keeps) are the
@@ -136,8 +139,27 @@ func (b *FailBackend) Load(name string) ([]byte, error) { return b.inner.Load(na
 func (b *FailBackend) List() ([]string, error) { return b.inner.List() }
 
 type failSegment struct {
-	b     *FailBackend
-	inner Segment
+	b        *FailBackend
+	inner    Segment
+	off      int  // bytes appended so far
+	reserved bool // preallocated: tears are sector-granular
+}
+
+// Preallocate forwards to the inner segment. A crash here leaves the
+// segment created but empty.
+func (s *failSegment) Preallocate(size int64) error {
+	kind, _, fired, err := s.b.step()
+	if err != nil {
+		return err
+	}
+	if fired && (kind == FailCrash || kind == FailTear) {
+		return ErrInjectedCrash
+	}
+	if err := s.inner.Preallocate(size); err != nil {
+		return err
+	}
+	s.reserved = true
+	return nil
 }
 
 func (s *failSegment) Append(p []byte) error {
@@ -150,13 +172,15 @@ func (s *failSegment) Append(p []byte) error {
 		case FailCrash:
 			return ErrInjectedCrash
 		case FailTear:
-			if tear > len(p) {
-				tear = len(p)
+			tear = min(tear, len(p))
+			if s.reserved {
+				tear = max(0, (s.off+tear)/sectorSize*sectorSize-s.off)
 			}
 			_ = s.inner.Append(p[:tear])
 			return ErrInjectedCrash
 		}
 	}
+	s.off += len(p)
 	return s.inner.Append(p)
 }
 
@@ -173,10 +197,7 @@ func (s *failSegment) Sync() error {
 		case FailSync:
 			return ErrInjectedSyncFail
 		case FailLostSync:
-			if ms, ok := s.inner.(*memSegment); ok {
-				ms.b.mu.Lock()
-				ms.lost = true
-				ms.b.mu.Unlock()
+			if s.loseSyncs() {
 				return nil
 			}
 			return ErrInjectedSyncFail
@@ -185,4 +206,35 @@ func (s *failSegment) Sync() error {
 	return s.inner.Sync()
 }
 
-func (s *failSegment) Close() error { return s.inner.Close() }
+// loseSyncs freezes the inner segment's durable horizon, if it models
+// one: from here on its syncs succeed without making anything durable.
+func (s *failSegment) loseSyncs() bool {
+	ms, ok := s.inner.(*memSegment)
+	if ok {
+		ms.b.mu.Lock()
+		ms.lost = true
+		ms.b.mu.Unlock()
+	}
+	return ok
+}
+
+func (s *failSegment) Close() error {
+	kind, _, fired, err := s.b.step()
+	if err != nil {
+		return err
+	}
+	if fired {
+		switch kind {
+		case FailCrash, FailTear:
+			return ErrInjectedCrash
+		case FailSync:
+			// Close's own sync fails; the preallocation is never trimmed.
+			return ErrInjectedSyncFail
+		case FailLostSync:
+			if !s.loseSyncs() {
+				return ErrInjectedSyncFail
+			}
+		}
+	}
+	return s.inner.Close()
+}

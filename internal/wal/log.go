@@ -8,15 +8,15 @@ import (
 
 // Log is an open write-ahead log: one writer goroutine owns the current
 // segment, concurrent committers enqueue records through Append, and
-// every flush round writes the whole queue before (at most) one fsync —
-// group commit. Acknowledgement order is the partially-constrained part:
-// a record is acked only once every lower sequence of its own partition
-// is durable, and records of different partitions never wait for each
-// other — except where a cross-partition transaction ties them: a cross
-// record is acked only when its decision record is durable and every
-// participant sits at the head of its own partition's release queue, so
-// recovery's all-or-nothing rule (scan.go) can never swallow an
-// acknowledged commit.
+// every flush round is one write of the whole queue into preallocated
+// space plus one sync — group commit. Acknowledgement order is the
+// partially-constrained part: a record is acked only once every lower
+// sequence of its own partition is durable, and records of different
+// partitions never wait for each other — except where a cross-partition
+// transaction ties them: a cross record is acked only when its decision
+// record is durable and every participant sits at the head of its own
+// partition's release queue, so recovery's all-or-nothing rule (scan.go)
+// can never swallow an acknowledged commit.
 type Log struct {
 	backend Backend
 	opts    Options
@@ -48,6 +48,7 @@ type Log struct {
 	seg     Segment
 	segSize int64
 	segIdx  uint64
+	buf     []byte // the batch's frames, coalesced for one Append; reused
 
 	stats struct {
 		sync.Mutex
@@ -69,10 +70,10 @@ type appendReq struct {
 
 // Start opens the log for appending on top of a completed Scan: it
 // validates the partition count against the logged meta, creates a
-// fresh segment (recovery never reopens a tail in place — the torn
-// bytes stay where they fell, unreferenced), writes the meta record
-// and one cut per partition whose post-gap stragglers the scan
-// dropped, syncs, and launches the writer.
+// fresh segment (recovery never reopens a tail in place — torn bytes
+// and unwritten preallocation stay where they fell, unreferenced),
+// writes the meta record and one cut per partition whose post-gap
+// stragglers the scan dropped, syncs, and launches the writer.
 func Start(backend Backend, opts Options, scan *ScanResult) (*Log, error) {
 	opts = opts.withDefaults()
 	if opts.Partitions <= 0 {
@@ -106,12 +107,16 @@ func Start(backend Backend, opts Options, scan *ScanResult) (*Log, error) {
 	}
 	// Void every sequence past a gap so the new generation can reuse it
 	// without tripping the duplicate check on the next recovery.
+	var cuts []byte
+	var ncuts uint64
 	for p, dropped := range scan.DroppedByPart {
 		if dropped > 0 {
-			if err := l.writeFrame(appendFrame(nil, cutPayload(p, scan.Horizon[p]+1))); err != nil {
-				return nil, err
-			}
+			cuts = appendFrame(cuts, cutPayload(p, scan.Horizon[p]+1))
+			ncuts++
 		}
+	}
+	if err := l.write(cuts, ncuts); err != nil {
+		return nil, err
 	}
 	if err := l.seg.Sync(); err != nil {
 		return nil, err
@@ -335,8 +340,8 @@ func (l *Log) bumpStat(fn func(*Stats)) {
 }
 
 // writer is the group-commit loop: take whatever the queue holds, write
-// every frame, rotate if the segment overflowed, fsync once, then
-// release acknowledgements in per-partition sequence order. AckSync
+// it, sync once, rotate if the segment overflowed, then release
+// acknowledgements in per-partition sequence order. AckSync
 // narrows the batch to one record per fsync; a positive BatchWindow
 // holds the fsync back so more committers join the batch.
 func (l *Log) writer() {
@@ -386,36 +391,37 @@ func (l *Log) writer() {
 	}
 }
 
-// flush writes one batch and syncs once, then releases acks.
+// flush coalesces the batch's frames into one write, syncs once, rotates
+// if that filled the segment, then releases acks.
 func (l *Log) flush(batch []*appendReq) error {
+	buf := l.buf[:0]
 	for _, req := range batch {
-		if err := l.writeFrame(req.frame); err != nil {
-			return err
-		}
+		buf = append(buf, req.frame...)
 	}
-	if l.segSize > l.opts.SegmentBytes {
-		// Rotate at a flush boundary: sync the full segment first so a
-		// non-final segment can never legitimately end mid-record.
-		if err := l.seg.Sync(); err != nil {
-			return err
-		}
-		l.bumpStat(func(s *Stats) { s.Syncs++ })
-		_ = l.seg.Close()
-		l.segIdx++
-		if err := l.openSegment(); err != nil {
-			return err
-		}
+	if cap(buf) <= maxKeptBatchBytes {
+		l.buf = buf
 	}
+	if err := l.seg.Append(buf); err != nil {
+		return err
+	}
+	l.segSize += int64(len(buf))
 	if err := l.seg.Sync(); err != nil {
 		return err
 	}
 	l.bumpStat(func(s *Stats) {
+		s.Records += uint64(len(batch))
+		s.Bytes += uint64(len(buf))
 		s.Syncs++
 		s.Batches++
 		if uint64(len(batch)) > s.MaxBatch {
 			s.MaxBatch = uint64(len(batch))
 		}
 	})
+	if l.segSize > l.opts.SegmentBytes {
+		if err := l.rotate(); err != nil {
+			return err
+		}
+	}
 	l.release(batch)
 	return nil
 }
@@ -540,44 +546,93 @@ func (l *Log) failQueueLocked() {
 	}
 }
 
-// sealAndExit writes the clean-shutdown marker.
-func (l *Log) sealAndExit() {
-	if err := l.writeFrame(appendFrame(nil, sealPayload())); err != nil {
-		l.poison(err, nil)
-		return
+// rotate closes the full segment behind an end record and opens the
+// next. It runs after a flush round's sync: an end record (like a seal)
+// promises Scan that everything before it was durable before it was
+// written, so damage in a segment that ends in one is never a crash's.
+// A failed Close is a storage fault like any other — the log is
+// poisoned, and the batch that filled the segment is not acknowledged.
+func (l *Log) rotate() error {
+	if err := l.write(endFrame, 1); err != nil {
+		return err
 	}
-	if err := l.seg.Sync(); err != nil {
-		l.poison(err, nil)
-		return
+	if err := l.closeSegment(); err != nil {
+		return err
 	}
-	l.bumpStat(func(s *Stats) { s.Syncs++ })
-	_ = l.seg.Close()
+	l.segIdx++
+	return l.openSegment()
 }
 
-// openSegment creates the segIdx'th segment and writes its meta record.
+// sealAndExit writes the clean-shutdown marker — every flush before it
+// synced — and closes the tail segment, which syncs it and trims its
+// preallocation.
+func (l *Log) sealAndExit() {
+	err := l.write(sealFrame, 1)
+	if err == nil {
+		err = l.closeSegment()
+	}
+	if err != nil {
+		l.poison(err, nil)
+	}
+}
+
+// preallocSlack is reserved past SegmentBytes: rotation happens after
+// the batch that crosses the limit, and that batch should not be the one
+// append per segment that grows the file.
+const preallocSlack = 64 << 10
+
+// maxKeptBatchBytes bounds the coalescing buffer the writer keeps
+// between batches; an AckAsync backlog can coalesce to many megabytes
+// once, and should not pin them for the life of the log.
+const maxKeptBatchBytes = 1 << 20
+
+// openSegment creates the segIdx'th segment, preallocates it, and writes
+// its magic and meta record.
 func (l *Log) openSegment() error {
 	seg, err := l.backend.Create(segName(l.segIdx))
 	if err != nil {
 		return err
 	}
-	l.seg, l.segSize = seg, 0
-	l.bumpStat(func(s *Stats) { s.Segments++ })
-	if err := l.seg.Append([]byte(Magic)); err != nil {
+	l.seg = seg
+	if err := seg.Preallocate(l.opts.SegmentBytes + preallocSlack); err != nil {
 		return err
 	}
-	l.segSize += int64(len(Magic))
-	return l.writeFrame(appendFrame(nil, metaPayload(l.opts.Partitions)))
+	hdr := appendFrame([]byte(Magic), metaPayload(l.opts.Partitions))
+	if err := seg.Append(hdr); err != nil {
+		return err
+	}
+	l.segSize = int64(len(hdr))
+	l.bumpStat(func(s *Stats) {
+		s.Segments++
+		s.Records++
+		s.Bytes += uint64(len(hdr) - len(Magic))
+	})
+	return nil
 }
 
-// writeFrame appends one framed record to the current segment.
-func (l *Log) writeFrame(frame []byte) error {
-	if err := l.seg.Append(frame); err != nil {
+// closeSegment closes the current segment: everything in it durable,
+// its preallocation trimmed.
+func (l *Log) closeSegment() error {
+	if err := l.seg.Close(); err != nil {
 		return err
 	}
-	l.segSize += int64(len(frame))
+	l.bumpStat(func(s *Stats) { s.Syncs++ })
+	return nil
+}
+
+// write appends records framed records to the current segment outside a
+// flush round (cuts, the end record, the seal).
+func (l *Log) write(frames []byte, records uint64) error {
+	if len(frames) == 0 {
+		return nil
+	}
+	if err := l.seg.Append(frames); err != nil {
+		return err
+	}
+	l.segSize += int64(len(frames))
 	l.bumpStat(func(s *Stats) {
-		s.Records++
-		s.Bytes += uint64(len(frame))
+		s.Records += records
+		s.Bytes += uint64(len(frames))
 	})
 	return nil
 }

@@ -29,7 +29,11 @@ import (
 //	decision — cross uvarint, nparts uvarint, then per participant
 //	       part uvarint + seq uvarint: the atomic commit point of a
 //	       cross-partition transaction. Its durability decides the
-//	       whole cross all-or-nothing at recovery.
+//	       whole cross all-or-nothing at recovery;
+//	end  — no payload: the last record of a segment closed by rotation,
+//	       written only once everything before it is durable. A seal or
+//	       an end as a segment's final bytes is how Scan knows the
+//	       segment was closed, and so holds no crash damage.
 //
 // Checksums cover the payload only; the length field is validated by
 // the extent check (a record must fit inside its segment). The split of
@@ -38,7 +42,9 @@ import (
 // Magic opens every segment.
 const Magic = "pclwal01"
 
-// formatVersion is bumped on any grammar change.
+// formatVersion is bumped when an existing record's encoding changes. A
+// new record kind needs no bump: a build that does not know it refuses
+// the log with a witness instead of misreading it.
 const formatVersion = 1
 
 // Record kinds.
@@ -49,6 +55,7 @@ const (
 	kindMeta
 	kindCross
 	kindDecision
+	kindEnd
 )
 
 // headerSize is the fixed record header: uint32 length + uint32 CRC.
@@ -160,7 +167,12 @@ func cutPayload(part int, from uint64) []byte {
 	return appendUvarint(dst, from)
 }
 
-func sealPayload() []byte { return []byte{kindSeal} }
+// sealFrame and endFrame are the complete seal and end records: fixed
+// bytes, so Scan can recognize a closed segment by its suffix.
+var (
+	sealFrame = appendFrame(nil, []byte{kindSeal})
+	endFrame  = appendFrame(nil, []byte{kindEnd})
+)
 
 func metaPayload(partitions int) []byte {
 	dst := []byte{kindMeta}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -27,6 +28,11 @@ type ScanResult struct {
 	// Torn lists where torn tails were truncated (clean degradation —
 	// unsynced bytes at the end of a segment).
 	Torn []TornTail
+	// ZeroTails lists segments that end in preallocated space no write
+	// ever reached — what a crashed generation's last segment looks like
+	// when the crash tore nothing. Not damage and not a tear: the scan
+	// skips the zeros and reports how many.
+	ZeroTails []ZeroTail
 	// Clean reports a sealed log: the final surviving record is a seal,
 	// i.e. the previous process shut down gracefully.
 	Clean bool
@@ -57,6 +63,24 @@ type TornTail struct {
 	Reason  string `json:"reason"`
 }
 
+// ZeroTail records one run of unwritten preallocation the scan skipped:
+// every byte of the segment from Offset to its end (Bytes of them) is
+// zero.
+type ZeroTail struct {
+	Segment string `json:"segment"`
+	Offset  int64  `json:"offset"`
+	Bytes   int64  `json:"bytes"`
+}
+
+// ZeroTailBytes sums the preallocated bytes skipped over all segments.
+func (r *ScanResult) ZeroTailBytes() int64 {
+	var n int64
+	for _, z := range r.ZeroTails {
+		n += z.Bytes
+	}
+	return n
+}
+
 // DroppedRecords sums DroppedByPart.
 func (r *ScanResult) DroppedRecords() uint64 {
 	var n uint64
@@ -69,18 +93,43 @@ func (r *ScanResult) DroppedRecords() uint64 {
 // Scan reads every segment and computes the replayable state. The
 // policy separating degradation from damage:
 //
+//   - A segment whose final bytes are a seal or an end record was closed:
+//     the writer synced everything before that record, then trimmed the
+//     segment to its written length and synced again. No crash can have
+//     damaged it, so none of the leniency below applies — anything in it
+//     that does not parse, zeros included, is CorruptError. Only a
+//     segment that was still open when its process died (at most one per
+//     generation: recovery starts a fresh segment and leaves the old one
+//     as it fell) can hold what the next three rules describe. (Damage
+//     that takes a closed segment's last record with it looks like such
+//     a segment, and degrades like one.)
+//   - A zero record header (or zero magic) with nothing but zeros after
+//     it ends the segment: the log writes into preallocated, zero-filled
+//     space and trims it only on a clean close or rotation, so this is
+//     simply where a crashed generation stopped writing. It is noted in
+//     ZeroTails, not in Torn.
 //   - A record that runs off the end of its segment (or a partial
 //     header, or a segment too short for its magic) is a torn tail:
 //     append-only storage can only lose a suffix, so everything before
 //     the tear is intact and the tear itself only holds data no one was
 //     ever promised. The tail is truncated, noted in Torn, and the scan
 //     continues. This also covers a lying fsync tearing a non-final
-//     segment: the lost suffix becomes per-partition sequence gaps,
-//     handled below.
-//   - A fully-present record with a bad checksum is CorruptError: bytes
-//     in the middle of the log changed under us, and replaying around
-//     them could resurrect a state no linearization justifies. Scan
-//     refuses with a witness (segment, offset, reason).
+//     segment: the lost suffix takes the end record with it, and becomes
+//     per-partition sequence gaps, handled below.
+//   - Inside a preallocation a tear does not shorten the file; it leaves
+//     zeros where sectors of the in-flight batch never reached the disk.
+//     So a fully-present record with a bad checksum is a torn tail iff
+//     the segment is zero from some point inside the record to the end
+//     of that sector (etcd's rule), as is a zero header with non-zero
+//     bytes after it (the header's sector was lost, a later one was
+//     not). The batch was one write followed by one sync that never
+//     returned, and nothing is written behind an unsynced batch, so
+//     everything from the tear to the end of the segment was
+//     unacknowledged; it is dropped like any torn tail.
+//   - Any other fully-present record with a bad checksum is
+//     CorruptError: bytes in the middle of the log changed under us, and
+//     replaying around them could resurrect a state no linearization
+//     justifies. Scan refuses with a witness (segment, offset, reason).
 //   - Two live records claiming the same (partition, seq) are
 //     CorruptError too — a duplicated segment or a broken stamp, either
 //     way replay order is no longer well-defined.
@@ -120,11 +169,34 @@ func Scan(backend Backend) (*ScanResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: scan: %w", err)
 		}
-		torn := func(off int64, reason string) {
+		// A closed segment admits no crash damage: what would end an open
+		// one is refused in it.
+		closed := bytes.HasSuffix(data, sealFrame) || bytes.HasSuffix(data, endFrame)
+		torn := func(off int64, reason string) error {
+			if closed {
+				return &CorruptError{Segment: name, Offset: off, Reason: reason + ", in a closed segment"}
+			}
 			res.Torn = append(res.Torn, TornTail{Segment: name, Offset: off, Reason: reason})
+			return nil
+		}
+		// unwritten ends the segment at a run of zeros starting at off:
+		// preallocation no write reached if the zeros run to the end, a
+		// lost sector ahead of a persisted one otherwise.
+		unwritten := func(off int64) error {
+			if !closed && allZero(data[off:]) {
+				res.ZeroTails = append(res.ZeroTails, ZeroTail{Segment: name, Offset: off, Bytes: int64(len(data)) - off})
+				return nil
+			}
+			return torn(off, "zeros where a record should start, written bytes after them")
 		}
 		if len(data) < len(Magic) {
-			torn(0, "segment shorter than magic")
+			torn(0, "segment shorter than magic") // too short to be closed
+			continue
+		}
+		if allZero(data[:len(Magic)]) {
+			if err := unwritten(0); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		if string(data[:len(Magic)]) != Magic {
@@ -135,22 +207,34 @@ func Scan(backend Backend) (*ScanResult, error) {
 		for int(off) < len(data) {
 			rest := data[off:]
 			if len(rest) < headerSize {
-				torn(off, "partial record header")
+				if err := torn(off, "partial record header"); err != nil {
+					return nil, err
+				}
+				break
+			}
+			if allZero(rest[:headerSize]) {
+				if err := unwritten(off); err != nil {
+					return nil, err
+				}
 				break
 			}
 			plen := binary.LittleEndian.Uint32(rest[0:4])
 			want := binary.LittleEndian.Uint32(rest[4:8])
-			if int(off)+headerSize+int(plen) > len(data) {
-				torn(off, "record extends past end of segment")
+			end := off + headerSize + int64(plen)
+			if end > int64(len(data)) {
+				if err := torn(off, "record extends past end of segment"); err != nil {
+					return nil, err
+				}
 				break
 			}
 			payload := rest[headerSize : headerSize+int(plen)]
 			if crc32.Checksum(payload, castagnoli) != want {
+				if !closed && hasZeroSector(data, off, end) {
+					torn(off, fmt.Sprintf("checksum mismatch on %d-byte record with an unwritten sector", plen))
+					break
+				}
 				return nil, &CorruptError{Segment: name, Offset: off,
 					Reason: fmt.Sprintf("checksum mismatch on %d-byte record", plen)}
-			}
-			if len(payload) == 0 {
-				return nil, &CorruptError{Segment: name, Offset: off, Reason: "empty payload"}
 			}
 			sealLast = false
 			kind, body := payload[0], payload[1:]
@@ -252,6 +336,11 @@ func Scan(backend Backend) (*ScanResult, error) {
 					sealLast = true
 				}
 				// Seals from earlier generations mid-log are inert.
+			case kindEnd:
+				if first {
+					return nil, &CorruptError{Segment: name, Offset: off, Reason: "segment does not start with meta"}
+				}
+				// Inert: a closed segment is known by its suffix.
 			default:
 				return nil, &CorruptError{Segment: name, Offset: off,
 					Reason: fmt.Sprintf("unknown record kind %d", kind)}
@@ -342,6 +431,34 @@ func (res *ScanResult) resolve(byPart map[int]map[uint64]Record, decisions map[u
 	}
 	res.CrossReplayed = uint64(len(replayedCross))
 	res.CrossVoided = uint64(len(voidedCross))
+}
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// hasZeroSector reports whether the record data[from:to] covers a sector
+// the disk never wrote: one that is zero from the record's first byte in
+// it to the sector's end (or the segment's). The sector's earlier bytes
+// belong to older, durable records; its later ones can only have come
+// with the same write, because the log never writes behind an unsynced
+// batch — which is what tells a lost sector from a record that merely
+// ends in zeros.
+func hasZeroSector(data []byte, from, to int64) bool {
+	for from < to {
+		next := (from/sectorSize + 1) * sectorSize
+		if allZero(data[from:min(next, int64(len(data)))]) {
+			return true
+		}
+		from = next
+	}
+	return false
 }
 
 // nextSegIdx picks the first unused segment index: one past the highest

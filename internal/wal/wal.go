@@ -28,12 +28,21 @@
 // recovery-time gap truncation: gaps only ever swallow commits whose
 // callers were still waiting.
 //
+// A commit terminates when its sync does, so the I/O under that sync is
+// kept minimal: each segment is preallocated to its full size
+// (Segment.Preallocate), a flush round is one write of the batch's
+// coalesced frames plus one sync into that space — no file-length
+// change for the sync to journal — and a segment is trimmed back to the
+// bytes written when it rotates or seals. What this leaves after a
+// crash — zeros, not a shorter file — is the scan's business (Scan).
+//
 // Storage is behind the Backend interface: MemBackend for tests and
-// crash simulation, FileBackend with real fsync for production, and
-// FailBackend — a failpoint-style wrapper that tears a record
-// mid-write, fails or silently drops an fsync, or kills the "process"
-// at a numbered crash point — so every recovery path in this package
-// was written against injected crashes, not hoped about.
+// crash simulation, FileBackend with fallocate and fdatasync for
+// production, and FailBackend — a failpoint-style wrapper that tears a
+// write at a sector boundary, fails or silently drops an fsync, or
+// kills the "process" at a numbered crash point — so every recovery
+// path in this package was written against injected crashes, not hoped
+// about.
 package wal
 
 import (
@@ -121,9 +130,9 @@ func (e *FailedError) Error() string { return "wal: log failed: " + e.Cause.Erro
 func (e *FailedError) Unwrap() error { return e.Cause }
 
 // CorruptError is recovery's hard stop: a record in the durable part of
-// the log (anything but the final segment's final, truncatable tail)
-// failed its checksum or structure, with the witness pinpointing it.
-// Torn tails are NOT corruption — they truncate cleanly; see Scan.
+// the log failed its checksum or structure, with the witness
+// pinpointing it. Torn tails and unwritten preallocation are NOT
+// corruption — they end their segment cleanly; see Scan.
 type CorruptError struct {
 	Segment string // segment name
 	Offset  int64  // byte offset of the bad record
@@ -140,14 +149,15 @@ type Stats struct {
 	// physically written (appends plus cuts, seals and metas).
 	Appends uint64 `json:"appends"`
 	Records uint64 `json:"records"`
-	// Syncs counts backend fsyncs; Appends/Syncs is the realized group
-	// commit amortization.
+	// Syncs counts backend syncs (segment closes included: a close
+	// syncs); Appends/Syncs is the realized group commit amortization.
 	Syncs uint64 `json:"syncs"`
 	// Batches counts writer flush rounds; MaxBatch is the largest
 	// number of appends one fsync covered.
 	Batches  uint64 `json:"batches"`
 	MaxBatch uint64 `json:"max_batch"`
-	// Bytes is the payload volume written; Segments counts segments
+	// Bytes is the payload volume written (preallocated space is not
+	// written until a record lands in it); Segments counts segments
 	// created over the log's life (including recovered ones).
 	Bytes    uint64 `json:"bytes"`
 	Segments uint64 `json:"segments"`

@@ -385,21 +385,39 @@ func TestFailpointSyncPoisons(t *testing.T) {
 
 func TestFailpointCrashSweep(t *testing.T) {
 	// Measure the workload's crash surface, then kill it at every
-	// numbered point and prove scan always yields a usable prefix.
-	workload := func(fb *FailBackend) (*Log, error) {
+	// numbered point and prove scan always yields a usable prefix that
+	// holds everything acknowledged — from the synced image, from the
+	// image a killed process leaves (every written byte, zeros after),
+	// and from one that lost all but a sector or so of the unsynced tail.
+	workload := func(fb *FailBackend) (acked [2]uint64, err error) {
 		l, _, err := Open(fb, Options{Partitions: 2, Ack: AckGroup, SegmentBytes: 512})
 		if err != nil {
-			return nil, err
+			return acked, err
 		}
 		for seq := uint64(1); seq <= 30; seq++ {
+			if seq%10 == 0 {
+				wait, err := l.AppendCross([]CrossPart{
+					{Part: 0, Seq: seq, Nops: 1, Ops: crossOps(seq, 0)},
+					{Part: 1, Seq: seq, Nops: 1, Ops: crossOps(seq, 1)},
+				})
+				if err == nil {
+					err = wait()
+				}
+				if err != nil {
+					return acked, err
+				}
+				acked = [2]uint64{seq, seq}
+				continue
+			}
 			for p := 0; p < 2; p++ {
 				ops := AppendOp(nil, false, []byte{byte(p), byte(seq)}, []byte{1})
 				if err := l.Append(p, seq, 1, ops); err != nil {
-					return l, err
+					return acked, err
 				}
+				acked[p] = seq
 			}
 		}
-		return l, l.Close()
+		return acked, l.Close()
 	}
 	probe := NewFailBackend(NewMemBackend())
 	if _, err := workload(probe); err != nil {
@@ -409,32 +427,56 @@ func TestFailpointCrashSweep(t *testing.T) {
 	if total < 30 {
 		t.Fatalf("workload exposes only %d crash points", total)
 	}
+	var zeroTails, torn int
 	for n := uint64(1); n <= total; n++ {
 		for _, kind := range []FailKind{FailCrash, FailTear} {
 			mem := NewMemBackend()
 			fb := NewFailBackend(mem)
-			fb.Arm(FailPoint{Kind: kind, N: n, TearBytes: 5})
-			_, err := workload(fb)
+			fb.Arm(FailPoint{Kind: kind, N: n, TearBytes: 40})
+			acked, err := workload(fb)
 			if err == nil {
 				if fb.Crashed() {
 					t.Fatalf("crash point %d/%v fired but did not surface", n, kind)
 				}
 				continue // batching variance left this point unreached
 			}
-			scan, err := Scan(mem.Clone(0))
-			if err != nil {
-				t.Fatalf("point %d/%v: scan refused: %v", n, kind, err)
-			}
-			// Whatever survived must be a dense prefix per partition.
-			counts := map[int]uint64{}
-			for _, r := range scan.Records {
-				counts[r.Part]++
-				if r.Seq != counts[r.Part] {
-					t.Fatalf("point %d/%v: non-dense replay: part %d seq %d at position %d",
-						n, kind, r.Part, r.Seq, counts[r.Part])
+			for _, keep := range []int{0, -1, sectorSize} {
+				scan, err := Scan(mem.Clone(keep))
+				if err != nil {
+					t.Fatalf("point %d/%v keep %d: scan refused: %v", n, kind, keep, err)
+				}
+				zeroTails += len(scan.ZeroTails)
+				torn += len(scan.Torn)
+				// Whatever survived must be a dense prefix per partition
+				// that covers every acknowledged sequence.
+				counts := map[int]uint64{}
+				for _, r := range scan.Records {
+					counts[r.Part]++
+					if r.Seq != counts[r.Part] {
+						t.Fatalf("point %d/%v keep %d: non-dense replay: part %d seq %d at position %d",
+							n, kind, keep, r.Part, r.Seq, counts[r.Part])
+					}
+				}
+				for p, seq := range acked {
+					if counts[p] < seq {
+						t.Fatalf("point %d/%v keep %d: acked part %d seq %d lost: horizons %v",
+							n, kind, keep, p, seq, scan.Horizon)
+					}
+				}
+				for cross := uint64(10); cross <= 30; cross += 10 {
+					if (counts[0] >= cross) != (counts[1] >= cross) {
+						t.Fatalf("point %d/%v keep %d: cross at seq %d half-replayed: horizons %v",
+							n, kind, keep, cross, scan.Horizon)
+					}
 				}
 			}
 		}
+	}
+	// The sweep must actually have met both geometries preallocation
+	// introduces: a crashed tail that is pure zeros, and a tear that
+	// leaves zeros inside a record.
+	if zeroTails == 0 || torn == 0 {
+		t.Errorf("sweep saw %d zero tails and %d torn tails, want both", zeroTails, torn)
 	}
 }
 

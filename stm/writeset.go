@@ -1,5 +1,10 @@
 package stm
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Small-set fast paths for the per-attempt collections. Transactions in
 // every registered workload pattern touch a handful of variables, so the
 // per-attempt map[*tvar]any write set (tl2) and map[*orec]bool lock set
@@ -30,6 +35,14 @@ func spillThreshold() int {
 	}
 	return defaultSmallSetSpill
 }
+
+// maxPooledSetEntries bounds what a small-set structure keeps across
+// pooled uses. A rare huge transaction (a TMap resize writes every
+// bucket) would otherwise leave its map index behind, and clearing a
+// map costs time proportional to its size, not its population — a tax on
+// every later transaction that draws the state from the pool. Past the
+// bound reset drops the storage and the next large attempt reallocates.
+const maxPooledSetEntries = 1024
 
 // writeEntry is one buffered write, value in raw-word form (value.go).
 type writeEntry struct {
@@ -102,20 +115,34 @@ func (ws *writeSet) reindex() {
 	}
 }
 
-// sortByID insertion-sorts the entries by variable id — the commit-time
-// lock order. Cheap below the spill threshold and replaces the former
-// sorted copy plus sort.Slice closure; first-write order is given up, but
-// commit is the attempt's last act, so no mark can still be rolled back.
+// insertionSortMax is the largest write set sortByID insertion-sorts.
+// Measured, not argued: a 16-key TMap preload commits ~40 entries, and
+// moving the cut-over down to the spill threshold (8) cost the
+// benchmark's embedded_hot set-up 15% — pdqsort pays a comparator call
+// per step where the insertion sort's inner loop is three instructions.
+// Past a few dozen entries the quadratic term takes over (a 262144-entry
+// rehash commit spent a minute here).
+const insertionSortMax = 64
+
+// sortByID sorts the entries by variable id — the commit-time lock
+// order — in place: an insertion sort for the small and mid-sized sets
+// nearly every commit has, pdqsort beyond insertionSortMax. First-write
+// order is given up, but commit is the attempt's last act, so no mark
+// can still be rolled back.
 func (ws *writeSet) sortByID() {
 	es := ws.entries
-	for i := 1; i < len(es); i++ {
-		e := es[i]
-		j := i - 1
-		for j >= 0 && es[j].tv.id > e.tv.id {
-			es[j+1] = es[j]
-			j--
+	if len(es) > insertionSortMax {
+		slices.SortFunc(es, func(a, b writeEntry) int { return cmp.Compare(a.tv.id, b.tv.id) })
+	} else {
+		for i := 1; i < len(es); i++ {
+			e := es[i]
+			j := i - 1
+			for j >= 0 && es[j].tv.id > e.tv.id {
+				es[j+1] = es[j]
+				j--
+			}
+			es[j+1] = e
 		}
-		es[j+1] = e
 	}
 	if ws.idx != nil {
 		ws.reindex()
@@ -154,8 +181,13 @@ func (ws *writeSet) truncate(n int, saved []writeEntry) {
 }
 
 // reset empties the set for reuse, zeroing dropped entries so a pooled
-// attempt state pins neither variables nor values between uses.
+// attempt state pins neither variables nor values between uses, and
+// letting go of storage grown past maxPooledSetEntries.
 func (ws *writeSet) reset() {
+	if cap(ws.entries) > maxPooledSetEntries {
+		ws.entries, ws.idx = nil, nil
+		return
+	}
 	clear(ws.entries)
 	ws.entries = ws.entries[:0]
 	if ws.idx != nil {
@@ -205,9 +237,13 @@ func (ls *lockSet) add(o *orec) {
 	}
 }
 
-// reset empties the set for reuse; the caller has already released the
-// records.
+// reset empties the set for reuse, within the same bound as the write
+// set; the caller has already released the records.
 func (ls *lockSet) reset() {
+	if cap(ls.held) > maxPooledSetEntries {
+		ls.held, ls.idx = nil, nil
+		return
+	}
 	clear(ls.held)
 	ls.held = ls.held[:0]
 	if ls.idx != nil {

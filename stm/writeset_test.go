@@ -3,6 +3,7 @@ package stm
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 // intWord encodes a small test integer as a one-word value.
@@ -55,7 +56,7 @@ func TestWriteSetSmallAndSpill(t *testing.T) {
 // the insertion order, and containsSorted agrees with membership both
 // below and above the spill threshold.
 func TestWriteSetSortAndMembership(t *testing.T) {
-	for _, n := range []int{3, 20} { // below and above the default spill
+	for _, n := range []int{3, 20, 200} { // below and above the default spill, and past insertionSortMax
 		tvs := wsVars(n)
 		var ws writeSet
 		ws.init(0)
@@ -171,6 +172,98 @@ func TestOrElsePreMarkOverwriteRestored(t *testing.T) {
 		}
 		if got := x.Peek(); got != 1 {
 			t.Errorf("%v: committed x = %d, want 1", e.Kind(), got)
+		}
+	}
+}
+
+// TestWriteSetLargeSortAndReset pins the two halves of the large-commit
+// fix. Sorting 200k entries inserted in descending id order is the
+// insertion sort's worst case (2·10¹⁰ moves — minutes); past the spill
+// threshold sortByID must not be quadratic. And reset must let go of the
+// index and backing such a set grew, or every later user of the pooled
+// state pays to clear them.
+func TestWriteSetLargeSortAndReset(t *testing.T) {
+	const n = 200_000
+	tvs := wsVars(n)
+	var ws writeSet
+	ws.init(0)
+	for i := n - 1; i >= 0; i-- {
+		ws.put(tvs[i], intWord(i))
+	}
+	start := time.Now()
+	ws.sortByID()
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("sortByID of %d entries took %v", n, d)
+	}
+	for i := range ws.entries {
+		if ws.entries[i].tv != tvs[i] {
+			t.Fatalf("entry %d out of id order after sort", i)
+		}
+	}
+	if v, ok := ws.get(tvs[n/2]); !ok || v.w0 != n/2 {
+		t.Fatalf("index stale after sort: get = %v, %v", v, ok)
+	}
+	ws.reset()
+	if ws.idx != nil || cap(ws.entries) != 0 {
+		t.Fatalf("reset kept oversized storage: idx %v, cap %d", ws.idx != nil, cap(ws.entries))
+	}
+	// A set that stays within the bound keeps its storage (the zero-alloc
+	// contract for mid-sized transactions).
+	for _, tv := range tvs[:maxPooledSetEntries/2] {
+		ws.put(tv, vword{})
+	}
+	ws.reset()
+	if ws.idx == nil || cap(ws.entries) == 0 {
+		t.Fatal("reset dropped storage within the pooling bound")
+	}
+
+	var ls lockSet
+	ls.init(0)
+	tab := newOrecTable(2 * maxPooledSetEntries)
+	for i := range tab.recs {
+		ls.add(&tab.recs[i])
+	}
+	ls.reset()
+	if ls.idx != nil || cap(ls.held) != 0 {
+		t.Fatal("lock set reset kept oversized storage")
+	}
+}
+
+// TestSmallTxCostAfterLargeTx is the end-to-end shape of the same bug:
+// one 100k-write transaction must not slow the small transactions that
+// follow it on the same engine (it used to leave a 200k-slot map in the
+// pooled attempt state: 65536 single-variable updates went from 0.08 s
+// to 8.9 s).
+func TestSmallTxCostAfterLargeTx(t *testing.T) {
+	for _, kind := range []EngineKind{EngineTL2, EngineTwoPL} {
+		e := NewEngine(kind)
+		vars := make([]*TVar[int], 100_000)
+		for i := range vars {
+			vars[i] = NewTVar(0)
+		}
+		small := func() time.Duration {
+			start := time.Now()
+			for i := 0; i < 65536; i++ {
+				_ = e.Atomically(func(tx *Tx) error {
+					Set(tx, vars[0], Get(tx, vars[0])+1)
+					return nil
+				})
+			}
+			return time.Since(start)
+		}
+		before := small()
+		start := time.Now()
+		_ = e.Atomically(func(tx *Tx) error {
+			for i := len(vars) - 1; i >= 0; i-- {
+				Set(tx, vars[i], 1)
+			}
+			return nil
+		})
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("%v: 100k-write transaction took %v", kind, d)
+		}
+		if after := small(); after > 10*before+100*time.Millisecond {
+			t.Fatalf("%v: 65536 small transactions took %v after a large one, %v before", kind, after, before)
 		}
 	}
 }

@@ -260,89 +260,94 @@ func TestDurableCrossCrashPointSweep(t *testing.T) {
 		t.Fatalf("workload exposes only %d crash points", total)
 	}
 
-	for n := uint64(1); n <= total; n++ {
-		mem := wal.NewMemBackend()
-		fb := wal.NewFailBackend(mem)
-		fb.Arm(wal.FailPoint{Kind: wal.FailCrash, N: n})
-		ran, err := workload(fb)
-		if err == nil {
-			if fb.Crashed() {
-				t.Fatalf("crash point %d fired but workload succeeded", n)
-			}
-			continue
-		}
-
-		img := mem.Clone(0)
-		recs := make([]*stm.Recorder, 0, parts)
-		cfg := durCfg(img, parts)
-		cfg.Store.EngineOptions = func(part int) []stm.Option {
-			r := stm.NewRecorder()
-			recs = append(recs, r)
-			return []stm.Option{stm.WithRecorder(r)}
-		}
-		s2, scan, err := store.OpenDurable(cfg)
-		if err != nil {
-			t.Fatalf("crash point %d: recovery refused: %v", n, err)
-		}
-
-		acked := map[int]bool{}
-		for _, i := range ran.acked {
-			acked[i] = true
-		}
-		for i := 0; i < rounds; i++ {
-			ks := keysOf(s2, i)
-			present := 0
-			for _, k := range ks {
-				if v, ok := s2.Get(k); ok {
-					if v != int64(i+1) {
-						t.Fatalf("crash point %d: cross %d key %d holds %d", n, i, k, v)
+	for _, shape := range crashShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			for n := uint64(1); n <= total; n++ {
+				mem := wal.NewMemBackend()
+				fb := wal.NewFailBackend(mem)
+				fb.Arm(wal.FailPoint{Kind: shape.kind, N: n, TearBytes: 64})
+				ran, err := workload(fb)
+				if err == nil {
+					if fb.Crashed() {
+						t.Fatalf("crash point %d fired but workload succeeded", n)
 					}
-					present++
+					continue
+				}
+
+				img := mem.Clone(shape.keep)
+				recs := make([]*stm.Recorder, 0, parts)
+				cfg := durCfg(img, parts)
+				cfg.Store.EngineOptions = func(part int) []stm.Option {
+					r := stm.NewRecorder()
+					recs = append(recs, r)
+					return []stm.Option{stm.WithRecorder(r)}
+				}
+				s2, scan, err := store.OpenDurable(cfg)
+				if err != nil {
+					t.Fatalf("crash point %d: recovery refused: %v", n, err)
+				}
+
+				acked := map[int]bool{}
+				for _, i := range ran.acked {
+					acked[i] = true
+				}
+				for i := 0; i < rounds; i++ {
+					ks := keysOf(s2, i)
+					present := 0
+					for _, k := range ks {
+						if v, ok := s2.Get(k); ok {
+							if v != int64(i+1) {
+								t.Fatalf("crash point %d: cross %d key %d holds %d", n, i, k, v)
+							}
+							present++
+						}
+					}
+					switch {
+					case present != 0 && present != len(ks):
+						t.Fatalf("crash point %d: cross %d HALF-APPLIED after recovery: %d/%d keys (horizons %v, cross replayed %d voided %d)",
+							n, i, present, len(ks), scan.Horizon, scan.CrossReplayed, scan.CrossVoided)
+					case acked[i] && present == 0:
+						t.Fatalf("crash point %d: acked cross %d lost (horizons %v)", n, i, scan.Horizon)
+					}
+					// An UNacked cross may legitimately be recovered whole: a
+					// crash can land after the fsync that covered the decision
+					// (e.g. a mid-batch segment rotation's sync) but before the
+					// acknowledgement reached the committer — the classic
+					// commit-outcome ambiguity every WAL has. The invariants are
+					// atomicity (never half) and acked ⇒ applied, both above.
+				}
+
+				// The recovered store takes new cross traffic.
+				ks := keysOf(s2, rounds)
+				if err := s2.Cross(func(ct *store.CrossTx[int64, int64]) error {
+					for _, k := range ks {
+						ct.Put(k, int64(rounds+1))
+					}
+					return nil
+				}); err != nil {
+					t.Fatalf("crash point %d: post-recovery cross: %v", n, err)
+				}
+				_ = s2.CloseWAL()
+
+				itemOf := func(id uint64) (core.Item, bool) {
+					return core.Item(fmt.Sprintf("t%d", id)), true
+				}
+				for pi, r := range recs {
+					attempts := r.Take()
+					if len(attempts) == 0 {
+						continue
+					}
+					exec, err := conformance.StampInterned(attempts, itemOf, 1)
+					if err != nil {
+						t.Fatalf("crash point %d: stamp partition %d: %v", n, pi, err)
+					}
+					rep := certify.Check(certify.FromExecution(exec), certify.StrictSerializability)
+					if rep.Verdict == certify.Violated {
+						t.Fatalf("crash point %d: partition %d recovery history violated: %s", n, pi, rep)
+					}
 				}
 			}
-			switch {
-			case present != 0 && present != len(ks):
-				t.Fatalf("crash point %d: cross %d HALF-APPLIED after recovery: %d/%d keys (horizons %v, cross replayed %d voided %d)",
-					n, i, present, len(ks), scan.Horizon, scan.CrossReplayed, scan.CrossVoided)
-			case acked[i] && present == 0:
-				t.Fatalf("crash point %d: acked cross %d lost (horizons %v)", n, i, scan.Horizon)
-			}
-			// An UNacked cross may legitimately be recovered whole: a
-			// crash can land after the fsync that covered the decision
-			// (e.g. a mid-batch segment rotation's sync) but before the
-			// acknowledgement reached the committer — the classic
-			// commit-outcome ambiguity every WAL has. The invariants are
-			// atomicity (never half) and acked ⇒ applied, both above.
-		}
-
-		// The recovered store takes new cross traffic.
-		ks := keysOf(s2, rounds)
-		if err := s2.Cross(func(ct *store.CrossTx[int64, int64]) error {
-			for _, k := range ks {
-				ct.Put(k, int64(rounds+1))
-			}
-			return nil
-		}); err != nil {
-			t.Fatalf("crash point %d: post-recovery cross: %v", n, err)
-		}
-		_ = s2.CloseWAL()
-
-		itemOf := func(id uint64) (core.Item, bool) {
-			return core.Item(fmt.Sprintf("t%d", id)), true
-		}
-		for pi, r := range recs {
-			attempts := r.Take()
-			if len(attempts) == 0 {
-				continue
-			}
-			exec, err := conformance.StampInterned(attempts, itemOf, 1)
-			if err != nil {
-				t.Fatalf("crash point %d: stamp partition %d: %v", n, pi, err)
-			}
-			rep := certify.Check(certify.FromExecution(exec), certify.StrictSerializability)
-			if rep.Verdict == certify.Violated {
-				t.Fatalf("crash point %d: partition %d recovery history violated: %s", n, pi, rep)
-			}
-		}
+		})
 	}
+
 }

@@ -367,6 +367,22 @@ func TestTornFixturesCertified(t *testing.T) {
 	})
 }
 
+// crashShapes are the images the crash-point sweeps recover from. The
+// log writes into preallocated segments, so a crash never shortens a
+// segment: "synced" keeps only what an fsync covered, zeros after it;
+// "killed" keeps every byte written, the shape a SIGKILL leaves (the
+// page cache survives the process), zeros after them; "torn" stops the
+// fatal write itself at a sector boundary.
+var crashShapes = []struct {
+	name string
+	kind wal.FailKind
+	keep int
+}{
+	{"synced", wal.FailCrash, 0},
+	{"killed", wal.FailCrash, -1},
+	{"torn", wal.FailTear, -1},
+}
+
 // TestDurableCrashPointSweepCertified is the PR's acceptance criterion:
 // kill the store at every numbered backend operation, recover from the
 // fsynced image, and require (a) every acknowledged commit survived,
@@ -409,91 +425,96 @@ func TestDurableCrashPointSweepCertified(t *testing.T) {
 		t.Fatalf("workload exposes only %d crash points", total)
 	}
 
-	for n := uint64(1); n <= total; n++ {
-		mem := wal.NewMemBackend()
-		fb := wal.NewFailBackend(mem)
-		fb.Arm(wal.FailPoint{Kind: wal.FailCrash, N: n})
-		ran, err := workload(fb)
-		if err == nil {
-			if fb.Crashed() {
-				t.Fatalf("crash point %d fired but workload succeeded", n)
-			}
-			continue
-		}
+	for _, shape := range crashShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			for n := uint64(1); n <= total; n++ {
+				mem := wal.NewMemBackend()
+				fb := wal.NewFailBackend(mem)
+				fb.Arm(wal.FailPoint{Kind: shape.kind, N: n, TearBytes: 64})
+				ran, err := workload(fb)
+				if err == nil {
+					if fb.Crashed() {
+						t.Fatalf("crash point %d fired but workload succeeded", n)
+					}
+					continue
+				}
 
-		// Recover with one recorder per partition so replay and the
-		// post-recovery probe become one certified history.
-		img := mem.Clone(0)
-		recs := make([]*stm.Recorder, 0, parts)
-		cfg := durCfg(img, parts)
-		cfg.Store.EngineOptions = func(part int) []stm.Option {
-			r := stm.NewRecorder()
-			recs = append(recs, r)
-			return []stm.Option{stm.WithRecorder(r)}
-		}
-		s2, scan, err := store.OpenDurable(cfg)
-		if err != nil {
-			t.Fatalf("crash point %d: recovery refused: %v", n, err)
-		}
+				// Recover with one recorder per partition so replay and the
+				// post-recovery probe become one certified history.
+				img := mem.Clone(shape.keep)
+				recs := make([]*stm.Recorder, 0, parts)
+				cfg := durCfg(img, parts)
+				cfg.Store.EngineOptions = func(part int) []stm.Option {
+					r := stm.NewRecorder()
+					recs = append(recs, r)
+					return []stm.Option{stm.WithRecorder(r)}
+				}
+				s2, scan, err := store.OpenDurable(cfg)
+				if err != nil {
+					t.Fatalf("crash point %d: recovery refused: %v", n, err)
+				}
 
-		// (a) acked ⇒ survives; (b) prefix shape: key k present only if
-		// every earlier key of its partition is present.
-		seen := map[int64]bool{}
-		for k := int64(1); k <= keys; k++ {
-			_, ok := s2.Get(k)
-			seen[k] = ok
-		}
-		for _, k := range ran.acked {
-			// The crashing Atomically is not in acked; everything acked
-			// before it must be here.
-			if !seen[k] {
-				t.Fatalf("crash point %d: acked key %d lost (horizons %v)", n, k, scan.Horizon)
-			}
-		}
-		for k := int64(1); k <= keys; k++ {
-			if seen[k] {
-				continue
-			}
-			// Keys were written in order, one commit each: if k is gone,
-			// no later key of k's partition may have survived.
-			p := s2.PartitionOf(k)
-			for k2 := k + 1; k2 <= keys; k2++ {
-				if s2.PartitionOf(k2) == p && seen[k2] {
-					t.Fatalf("crash point %d: non-prefix recovery: key %d absent but %d present (partition %d)",
-						n, k, k2, p)
+				// (a) acked ⇒ survives; (b) prefix shape: key k present only if
+				// every earlier key of its partition is present.
+				seen := map[int64]bool{}
+				for k := int64(1); k <= keys; k++ {
+					_, ok := s2.Get(k)
+					seen[k] = ok
+				}
+				for _, k := range ran.acked {
+					// The crashing Atomically is not in acked; everything acked
+					// before it must be here.
+					if !seen[k] {
+						t.Fatalf("crash point %d: acked key %d lost (horizons %v)", n, k, scan.Horizon)
+					}
+				}
+				for k := int64(1); k <= keys; k++ {
+					if seen[k] {
+						continue
+					}
+					// Keys were written in order, one commit each: if k is gone,
+					// no later key of k's partition may have survived.
+					p := s2.PartitionOf(k)
+					for k2 := k + 1; k2 <= keys; k2++ {
+						if s2.PartitionOf(k2) == p && seen[k2] {
+							t.Fatalf("crash point %d: non-prefix recovery: key %d absent but %d present (partition %d)",
+								n, k, k2, p)
+						}
+					}
+				}
+
+				// Post-recovery traffic on the recovered store.
+				for k := int64(keys + 1); k <= keys+4; k++ {
+					if err := s2.Atomically(s2.PartitionOf(k), func(tx *stm.Tx, p *store.Part[int64, int64]) error {
+						p.Put(tx, k, k)
+						return nil
+					}); err != nil {
+						t.Fatalf("crash point %d: post-recovery write: %v", n, err)
+					}
+				}
+				_ = s2.CloseWAL()
+
+				// (c) certify the stitched history, one partition engine at a
+				// time (partitions share no state, so each is its own history).
+				itemOf := func(id uint64) (core.Item, bool) {
+					return core.Item(fmt.Sprintf("t%d", id)), true
+				}
+				for pi, r := range recs {
+					attempts := r.Take()
+					if len(attempts) == 0 {
+						continue
+					}
+					exec, err := conformance.StampInterned(attempts, itemOf, 1)
+					if err != nil {
+						t.Fatalf("crash point %d: stamp partition %d: %v", n, pi, err)
+					}
+					rep := certify.Check(certify.FromExecution(exec), certify.StrictSerializability)
+					if rep.Verdict == certify.Violated {
+						t.Fatalf("crash point %d: partition %d recovery history violated: %s", n, pi, rep)
+					}
 				}
 			}
-		}
-
-		// Post-recovery traffic on the recovered store.
-		for k := int64(keys + 1); k <= keys+4; k++ {
-			if err := s2.Atomically(s2.PartitionOf(k), func(tx *stm.Tx, p *store.Part[int64, int64]) error {
-				p.Put(tx, k, k)
-				return nil
-			}); err != nil {
-				t.Fatalf("crash point %d: post-recovery write: %v", n, err)
-			}
-		}
-		_ = s2.CloseWAL()
-
-		// (c) certify the stitched history, one partition engine at a
-		// time (partitions share no state, so each is its own history).
-		itemOf := func(id uint64) (core.Item, bool) {
-			return core.Item(fmt.Sprintf("t%d", id)), true
-		}
-		for pi, r := range recs {
-			attempts := r.Take()
-			if len(attempts) == 0 {
-				continue
-			}
-			exec, err := conformance.StampInterned(attempts, itemOf, 1)
-			if err != nil {
-				t.Fatalf("crash point %d: stamp partition %d: %v", n, pi, err)
-			}
-			rep := certify.Check(certify.FromExecution(exec), certify.StrictSerializability)
-			if rep.Verdict == certify.Violated {
-				t.Fatalf("crash point %d: partition %d recovery history violated: %s", n, pi, rep)
-			}
-		}
+		})
 	}
+
 }

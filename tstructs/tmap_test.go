@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"pcltm/stm"
 )
@@ -501,5 +502,32 @@ func TestTMapGrowsUnderConcurrentReaders(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestTMapPreloadFromDefaultBuckets loads 262144 keys into a map that
+// starts at the default size, so it grows through thirteen generations,
+// the last rehash writing 262144 bucket variables in one transaction.
+// That commit sorts its write set; with a quadratic sort and a pooled
+// attempt state that kept the giant set's index, this loop took 57 s.
+func TestTMapPreloadFromDefaultBuckets(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("timing test")
+	}
+	const keys = 262144
+	e := stm.NewEngine(stm.EngineTL2)
+	m := NewTMap[int64, int64](0)
+	start := time.Now()
+	for k := int64(0); k < keys; k++ {
+		_ = e.Atomically(func(tx *stm.Tx) error {
+			m.Put(tx, k, k)
+			return nil
+		})
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("preloading %d keys took %v", keys, d)
+	}
+	if n := m.LenQuiesced(); n != keys {
+		t.Fatalf("LenQuiesced = %d, want %d", n, keys)
 	}
 }
