@@ -60,10 +60,11 @@ func Stamp(attempts []*stm.AttemptRecord, itemOf func(tvar uint64) (core.Item, b
 }
 
 // StampInterned is Stamp for histories whose recorded values are not all
-// integers — the transactional data structures record chain-link TVars
-// holding entry pointers. Integer payloads pass through unchanged;
-// nil-ish values (typed nil links: the empty chain, which is also every
-// link TVar's initial value) map to 0; every other distinct value gets a
+// integers — the transactional data structures record link and
+// bucket-head TVars holding node and array pointers. Integer payloads
+// pass through unchanged; nil-ish values (typed nil links: the empty
+// chain or bucket, which is also every such TVar's initial value) map
+// to 0; every other distinct value gets a
 // unique negative integer, assigned on first sight. The mapping is
 // injective, so it preserves exactly the equality structure reads-from
 // depends on: a read maps to a write's value iff the machine really

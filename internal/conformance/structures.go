@@ -23,7 +23,7 @@ import (
 //     W(k,v) — with its real-time interval bracketed by tickets taken
 //     before and after the operation ran. A correct map over a correct
 //     engine linearizes its operations, so these histories must be
-//     strictly serializable; a map that mishandles its bucket chains
+//     strictly serializable; a map that mishandles its bucket arrays
 //     (NewAliasedTMapForTest) yields reads of values the serialization
 //     order cannot justify, and the checkers convict it. Absence is
 //     encoded as the checkers' initial value 0 (episodes write only
@@ -33,7 +33,7 @@ import (
 //   - Per-partition TVar-level histories: a partitioned store runs one
 //     engine per partition, each wearing its own recorder (the store's
 //     EngineOptions seam); each partition's attempt log is stamped
-//     independently (StampInterned, since chain links record entry
+//     independently (StampInterned, since bucket heads record array
 //     pointers) and must satisfy the engine's required conditions —
 //     opacity for the speculative engines — partition by partition.
 //     This is the acceptance check that partitioning did not buy
@@ -276,7 +276,7 @@ func RunStoreEpisode(kind stm.EngineKind, ep StructEpisode) (*StoreEpisodeResult
 
 // ConvictAliasedTMap is the structure layer's self-test, mirroring the
 // broken engines of stm/broken.go: it drives the planted
-// cross-bucket-aliasing fixture — one bucket, chain-dropping Put — with
+// cross-bucket-aliasing fixture — one bucket, neighbour-dropping insert — with
 // a deterministic sequential history (put k1, put k2, get k1) and
 // returns the Evaluate report, which must convict: the second put
 // destroys k1's entry, so the final read returns 0 ("absent") after
@@ -302,7 +302,7 @@ func ConvictAliasedTMap() *Report {
 		ops = append(ops, op)
 	}
 	do(true, 1, 10) // put k1=10
-	do(true, 2, 20) // put k2=20: replaces the whole chain, k1 is lost
+	do(true, 2, 20) // put k2=20: publishes a one-slot bucket, k1 is lost
 	do(false, 1, 0) // get k1: observes 0 ("absent") — the conviction
 	exec := buildStructExecution(ops, 1)
 	return Evaluate("aliased", Episode{Seed: 1}, exec)

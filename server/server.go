@@ -414,7 +414,7 @@ func (s *Server) applier(part int) {
 				batch = append(batch, p)
 			}
 			for _, p := range batch {
-				applyCmds(tx, ph, p)
+				applyCmds(partTx{tx, ph}, p.cmds, p.res)
 			}
 			return nil
 		})
@@ -426,32 +426,54 @@ func (s *Server) applier(part int) {
 	}
 }
 
-// applyCmds runs one pending group's commands inside the applier's
-// transaction, filling the response slots.
-func applyCmds(tx *stm.Tx, ph *store.Part[int64, int64], p *pending) {
-	for i, c := range p.cmds {
+// kv is what one command needs of the transaction it runs in. Both
+// commit paths provide it: partTx on the applier's single-partition
+// path, *store.CrossTx on the cross-partition one.
+type kv interface {
+	Get(k int64) (int64, bool)
+	Put(k, v int64)
+	Delete(k int64) bool
+	Update(k int64, fn func(v int64, ok bool) int64) int64
+}
+
+// partTx is a partition handle bound to its transaction.
+type partTx struct {
+	tx *stm.Tx
+	ph *store.Part[int64, int64]
+}
+
+func (p partTx) Get(k int64) (int64, bool) { return p.ph.Get(p.tx, k) }
+func (p partTx) Put(k, v int64)            { p.ph.Put(p.tx, k, v) }
+func (p partTx) Delete(k int64) bool       { return p.ph.Delete(p.tx, k) }
+func (p partTx) Update(k int64, fn func(v int64, ok bool) int64) int64 {
+	return p.ph.Update(p.tx, k, fn)
+}
+
+// applyCmds is the command interpreter: it runs cmds in order inside t,
+// filling the index-aligned response slots. A type parameter instead of
+// an interface value keeps the applier's per-batch partTx off the heap.
+func applyCmds[T kv](t T, cmds []Command, res []CmdResult) {
+	for i, c := range cmds {
 		switch c.Op {
 		case "get":
-			v, ok := ph.Get(tx, c.Key)
-			p.res[i] = CmdResult{Value: v, Found: ok}
+			v, ok := t.Get(c.Key)
+			res[i] = CmdResult{Value: v, Found: ok}
 		case "put":
-			ph.Put(tx, c.Key, c.Value)
-			p.res[i] = CmdResult{Value: c.Value, Found: true}
+			t.Put(c.Key, c.Value)
+			res[i] = CmdResult{Value: c.Value, Found: true}
 		case "incr":
 			delta := c.Value
 			if delta == 0 {
 				delta = 1
 			}
-			v, _ := ph.Get(tx, c.Key)
-			v += delta
-			ph.Put(tx, c.Key, v)
-			p.res[i] = CmdResult{Value: v, Found: true}
+			v := t.Update(c.Key, func(v int64, _ bool) int64 { return v + delta })
+			res[i] = CmdResult{Value: v, Found: true}
 		case "delete":
-			v, ok := ph.Get(tx, c.Key)
+			v, ok := t.Get(c.Key)
 			if ok {
-				ph.Delete(tx, c.Key)
+				t.Delete(c.Key)
 			}
-			p.res[i] = CmdResult{Value: v, Found: ok}
+			res[i] = CmdResult{Value: v, Found: ok}
 		}
 	}
 }
@@ -614,31 +636,7 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCrossTx(w http.ResponseWriter, groups map[int]*pending, results []CmdResult) {
 	err := s.store.Cross(func(ct *store.CrossTx[int64, int64]) error {
 		for _, g := range groups {
-			for i, c := range g.cmds {
-				switch c.Op {
-				case "get":
-					v, ok := ct.Get(c.Key)
-					g.res[i] = CmdResult{Value: v, Found: ok}
-				case "put":
-					ct.Put(c.Key, c.Value)
-					g.res[i] = CmdResult{Value: c.Value, Found: true}
-				case "incr":
-					delta := c.Value
-					if delta == 0 {
-						delta = 1
-					}
-					v, _ := ct.Get(c.Key)
-					v += delta
-					ct.Put(c.Key, v)
-					g.res[i] = CmdResult{Value: v, Found: true}
-				case "delete":
-					v, ok := ct.Get(c.Key)
-					if ok {
-						ct.Delete(c.Key)
-					}
-					g.res[i] = CmdResult{Value: v, Found: ok}
-				}
-			}
+			applyCmds(ct, g.cmds, g.res)
 		}
 		return nil
 	})

@@ -82,6 +82,14 @@ func (ct *CrossTx[K, V]) Put(k K, v V) {
 	ct.buf[k] = crossWrite[V]{v: v}
 }
 
+// Update applies fn to k's current value (ok reports presence), buffers
+// the result under k and returns it — Part.Update's counterpart.
+func (ct *CrossTx[K, V]) Update(k K, fn func(v V, ok bool) V) V {
+	next := fn(ct.Get(k))
+	ct.Put(k, next)
+	return next
+}
+
 // Delete buffers a deletion of k, reporting whether k was visible at
 // this point of the body.
 func (ct *CrossTx[K, V]) Delete(k K) bool {

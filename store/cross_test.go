@@ -137,6 +137,57 @@ func TestCrossEmptyFootprint(t *testing.T) {
 	}
 }
 
+// TestUpdateOnBothPaths checks the read-modify-write primitive agrees
+// between a partition transaction and a Cross: fn sees the current
+// value and presence (its own earlier writes included), the result is
+// stored and returned, and an absent key is inserted.
+func TestUpdateOnBothPaths(t *testing.T) {
+	s := store.New[int64, int64](store.Config{Partitions: 4})
+	s.Put(1, 10)
+	add := func(d int64, wantOK bool) func(int64, bool) int64 {
+		return func(v int64, ok bool) int64 {
+			if ok != wantOK {
+				t.Errorf("fn saw ok = %v, want %v (value %d)", ok, wantOK, v)
+			}
+			return v + d
+		}
+	}
+	if err := s.Atomically(s.PartitionOf(1), func(tx *stm.Tx, p *store.Part[int64, int64]) error {
+		if got := p.Update(tx, 1, add(5, true)); got != 15 {
+			t.Errorf("Part.Update returned %d, want 15", got)
+		}
+		if got := p.Update(tx, 1, add(1, true)); got != 16 {
+			t.Errorf("second Part.Update returned %d, want 16", got)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	absent := int64(2)
+	for s.PartitionOf(absent) == s.PartitionOf(1) {
+		absent++
+	}
+	if err := s.Cross(func(ct *store.CrossTx[int64, int64]) error {
+		if got := ct.Update(1, add(4, true)); got != 20 {
+			t.Errorf("CrossTx.Update returned %d, want 20", got)
+		}
+		if got := ct.Update(absent, add(7, false)); got != 7 {
+			t.Errorf("CrossTx.Update of an absent key returned %d, want 7", got)
+		}
+		if got := ct.Update(absent, add(1, true)); got != 8 {
+			t.Errorf("CrossTx.Update of a key it just wrote returned %d, want 8", got)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[int64]int64{1: 20, absent: 8} {
+		if v, ok := s.Get(k); !ok || v != want {
+			t.Errorf("key %d = %d,%v after the updates, want %d", k, v, ok, want)
+		}
+	}
+}
+
 // TestCrossSweepEquivalent checks the retained full-sweep path and the
 // scoped path agree on results.
 func TestCrossSweepEquivalent(t *testing.T) {

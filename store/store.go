@@ -193,16 +193,16 @@ func (p *Part[K, V]) Delete(tx *stm.Tx, k K) bool {
 	return ok
 }
 
-// Update applies fn to k's current value (ok reports presence) and
-// stores the result — the read-modify-write primitive.
-func (p *Part[K, V]) Update(tx *stm.Tx, k K, fn func(v V, ok bool) V) {
+// Update applies fn to k's current value (ok reports presence), stores
+// the result and returns it — the read-modify-write primitive, one map
+// lookup.
+func (p *Part[K, V]) Update(tx *stm.Tx, k K, fn func(v V, ok bool) V) V {
 	p.check(k)
-	cur, ok := p.m.Get(tx, k)
-	next := fn(cur, ok)
-	p.m.Put(tx, k, next)
+	next := p.m.Update(tx, k, fn)
 	if p.buf != nil {
 		capturePut(p.buf, p.s.durable.codec, k, next)
 	}
+	return next
 }
 
 // Atomically runs fn as one transaction on partition part's engine,
@@ -312,7 +312,7 @@ func (s *Store[K, V]) Update(k K, fn func(v V, ok bool) V) {
 // escalation lock exclusive in partition order (the same total order
 // Cross uses, so the two never deadlock), which drains all in-flight
 // transactions store-wide, then sums the quiesced per-partition bucket
-// counters. The count is therefore a true instantaneous snapshot even
+// lengths. The count is therefore a true instantaneous snapshot even
 // against concurrent Cross transactions moving keys between partitions.
 // The price mirrors Cross's: a Len serializes against every transaction
 // in the store — it is an administration operation, not a hot path. For

@@ -8,65 +8,114 @@ import (
 )
 
 // DefaultBuckets is the bucket-table size a TMap gets when the
-// constructor is passed 0. 64 buckets keep a few hundred keys at short
-// chain lengths while costing one TVar pair per bucket up front; the
-// table doubles itself past the load-factor threshold, so the
+// constructor is passed 0. 64 buckets keep a few hundred keys at a
+// handful of slots per bucket while costing one head TVar per bucket up
+// front; the table doubles itself past the growth threshold, so the
 // constructor size is a starting point, not a ceiling.
 const DefaultBuckets = 64
 
-// maxBuckets caps table growth where the TVar overhead of the chain
+// maxBuckets caps table growth where the TVar overhead of the bucket
 // heads would start to matter (2^20 buckets ≈ tens of MiB of heads).
 const maxBuckets = 1 << 20
 
-// growChainLen is the chain length past which an insert doubles the
+// growChainLen is the bucket length past which an insert doubles the
 // bucket table. The trigger is per-bucket deliberately: the inserting
-// transaction already owns its bucket's counter, so the check costs no
-// extra footprint — a global entry counter would put every insert in
-// the map in conflict with every other, serializing exactly the
-// disjoint-key traffic the sharded table exists to parallelize. With
-// the Fibonacci spread keeping chains near the mean, a chain crossing
+// transaction has just published its bucket's new array, so the check
+// costs no extra footprint — a global entry counter would put every
+// insert in the map in conflict with every other, serializing exactly
+// the disjoint-key traffic the sharded table exists to parallelize. With
+// the Fibonacci spread keeping buckets near the mean, one crossing
 // growChainLen signals the whole table is past a mean load factor of
 // roughly half this, so doubling on the local signal tracks the global
-// load-factor policy.
+// load-factor policy. The threshold can be lenient because bucket
+// length costs no transactional reads: a lookup scans contiguous plain
+// keys.
 const growChainLen = 12
 
-// entry is one key's cell in a bucket chain. The key is immutable node
-// data; the value and the chain link are transactional, so an overwrite
-// of an existing key touches exactly one TVar (val) and a structural
-// change (insert, delete) touches only the links of its own bucket.
-type entry[K comparable, V any] struct {
-	key  K
-	val  *stm.TVar[V]
-	next *stm.TVar[*entry[K, V]]
+// slot is one key's cell in a bucket: the key is immutable, the value is
+// the key's own TVar. An overwrite of an existing key touches exactly
+// that TVar and nothing of the bucket.
+type slot[K comparable, V any] struct {
+	key K
+	val *stm.TVar[V]
+}
+
+// bucket is one published state of a bucket: an array of slots that is
+// never modified after the head TVar carries a pointer to it. An insert
+// or delete builds a fresh array and publishes that instead
+// (copy-on-write), so a transaction that read a head scans a frozen
+// array with plain loads. The empty bucket is the nil pointer — a head's
+// initial value, and what deleting the last key puts back.
+type bucket[K comparable, V any] []slot[K, V]
+
+// find returns the index of k's slot, or -1. Safe on the nil (empty)
+// bucket.
+func (b *bucket[K, V]) find(k K) int {
+	if b != nil {
+		for i := range *b {
+			if (*b)[i].key == k {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// size is the bucket's key count; the nil bucket holds none.
+func (b *bucket[K, V]) size() int {
+	if b == nil {
+		return 0
+	}
+	return len(*b)
 }
 
 // table is one generation of the bucket table: a fixed power-of-two
-// array of chain heads and per-bucket entry counters. A generation is
-// immutable once published — growth builds the next generation and
-// swaps the map's table TVar — so a transaction that read the table
-// pointer works against internally consistent arrays, and the swap
-// itself conflicts with every concurrent operation exactly the way a
-// structural rehash must.
+// array of bucket heads. A generation is immutable once published —
+// growth builds the next generation and swaps the map's table TVar — so
+// a transaction that read the table pointer works against an internally
+// consistent array, and the swap itself conflicts with every concurrent
+// operation exactly the way a structural rehash must.
 type table[K comparable, V any] struct {
-	buckets []*stm.TVar[*entry[K, V]]
-	counts  []*stm.TVar[int64]
-	shift   uint
+	heads []*stm.TVar[*bucket[K, V]]
+	shift uint
 }
 
 // TMap is a sharded transactional hash map: a power-of-two table of
-// bucket chains, one chain-head TVar per bucket, keys spread by
-// Fibonacci multiply-shift of the key hash. Transactions on keys in
-// different buckets read and write disjoint TVar sets, so they commit
-// in parallel with no false conflicts on any engine; the residual false
-// conflict — two distinct keys hashing to one bucket — shrinks with the
-// bucket count, exactly like orec aliasing in the 2PL engine.
+// buckets, one head TVar per bucket holding a pointer to an immutable
+// slot array, keys spread by Fibonacci multiply-shift of the key hash.
 //
-// The bucket table grows: an insert that pushes its bucket's chain
-// past growChainLen rehashes into a table of twice the size, inside
-// the inserting transaction (cost amortized O(1) per insert by
-// doubling). The table is held in a TVar, so growth is transactional:
-// concurrent readers either serialize before the swap (and see the old
-// generation whole) or after it (and see the new one) — never a mix.
+// A lookup is three transactional reads whatever the bucket holds: the
+// table pointer, the bucket head, and the key's value TVar; finding the
+// key between the last two is a plain scan of contiguous keys. The
+// conflict footprint follows from that layout:
+//
+//   - Get / Contains / a missing Delete read the table pointer and one
+//     head (Get also the value). They conflict with inserts and deletes
+//     in the same bucket, with growth, and — Get only — with overwrites
+//     of the same key.
+//   - An overwriting Put or Update writes only the key's value TVar: it
+//     conflicts with readers and writers of that key, and with nothing
+//     else in the bucket.
+//   - An insert or a delete publishes a fresh array through the head, so
+//     it conflicts with every concurrent operation on the same bucket,
+//     whichever key that operation names (and with Len and ForEach,
+//     which read every head). A delete therefore costs what an insert
+//     costs; it does not write the removed key's value TVar, whose
+//     readers are already in conflict through the head.
+//
+// Transactions on keys in different buckets read and write disjoint
+// TVar sets, so they commit in parallel with no false conflicts on any
+// engine; the residual false conflict — a structural change in a bucket
+// another key hashes to — shrinks with the bucket count, exactly like
+// orec aliasing in the 2PL engine.
+//
+// The bucket table grows: an insert that pushes its bucket past
+// growChainLen rehashes into a table of twice the size, inside the
+// inserting transaction (cost amortized O(1) per insert by doubling).
+// The table is held in a TVar, so growth is transactional: concurrent
+// readers either serialize before the swap (and see the old generation
+// whole) or after it (and see the new one) — never a mix. The table
+// never shrinks; a bucket emptied by deletes costs only its head.
 //
 // All operations take the caller's transaction and compose with any
 // other transactional work. TMap holds no engine: run its operations
@@ -83,12 +132,13 @@ type TMap[K comparable, V any] struct {
 	tab  *stm.TVar[*table[K, V]]
 	gen0 *table[K, V]
 	hash func(K) uint64
-	// brokenChain is the planted-bug switch of NewAliasedTMapForTest:
-	// Put replaces the chain head instead of walking it — the
-	// cross-bucket-aliasing bug the conformance harness must convict.
-	// It also pins the table (the fixture's single bucket must stay
-	// single).
-	brokenChain bool
+	// brokenInsert is the planted-bug switch of NewAliasedTMapForTest:
+	// an insert publishes a one-slot array instead of a copy of the
+	// bucket plus the new slot — the cross-bucket-aliasing bug the
+	// conformance harness must convict. One-slot buckets also never
+	// reach the growth threshold, which keeps the fixture's single
+	// bucket single.
+	brokenInsert bool
 }
 
 // NewTMap builds a map with the given initial bucket count (0 =
@@ -131,16 +181,11 @@ func NewTMapFunc[K comparable, V any](buckets int, hash func(K) uint64) *TMap[K,
 	}
 }
 
-// newTable allocates one table generation with empty chains.
+// newTable allocates one table generation with empty buckets.
 func newTable[K comparable, V any](n int, shift uint) *table[K, V] {
-	t := &table[K, V]{
-		buckets: make([]*stm.TVar[*entry[K, V]], n),
-		counts:  make([]*stm.TVar[int64], n),
-		shift:   shift,
-	}
-	for i := range t.buckets {
-		t.buckets[i] = stm.NewTVar[*entry[K, V]](nil)
-		t.counts[i] = stm.NewTVar[int64](0)
+	t := &table[K, V]{heads: make([]*stm.TVar[*bucket[K, V]], n), shift: shift}
+	for i := range t.heads {
+		t.heads[i] = stm.NewTVar[*bucket[K, V]](nil)
 	}
 	return t
 }
@@ -166,142 +211,175 @@ func (m *TMap[K, V]) tablePeek() *table[K, V] {
 // Buckets returns the current bucket-table size (a power of two). It
 // peeks the table pointer outside any transaction, so under concurrent
 // growth it is a monitoring read, like LenQuiesced.
-func (m *TMap[K, V]) Buckets() int { return len(m.tablePeek().buckets) }
+func (m *TMap[K, V]) Buckets() int { return len(m.tablePeek().heads) }
 
-// bucketOf returns the chain-head index covering k in generation t.
+// bucketOf returns the index of the bucket covering k in generation t.
 func (t *table[K, V]) bucketOf(hash func(K) uint64, k K) int {
 	return int(fibIndex(hash(k), t.shift))
 }
 
 // BucketOf exposes the bucket index covering k — for sharding
 // diagnostics and the store's routing-independence tests; two
-// transactions conflict falsely in the map exactly when their keys
+// transactions can conflict falsely in the map only when their keys
 // share a BucketOf value. Like Buckets, it peeks the current
 // generation.
 func (m *TMap[K, V]) BucketOf(k K) int { return m.tablePeek().bucketOf(m.hash, k) }
 
-// locate walks k's bucket chain in generation t inside tx, returning
-// the TVar holding the link to k's entry (the bucket head or a
-// predecessor's next) and the entry itself, nil if absent.
-func (m *TMap[K, V]) locate(tx *stm.Tx, t *table[K, V], k K) (*stm.TVar[*entry[K, V]], *entry[K, V]) {
-	prev := t.buckets[t.bucketOf(m.hash, k)]
-	cur := stm.Get(tx, prev)
-	for cur != nil && cur.key != k {
-		prev = cur.next
-		cur = stm.Get(tx, prev)
-	}
-	return prev, cur
+// place is where a key lives, as one lookup found it: the generation,
+// the key's bucket head, the array that head held, and the key's index
+// in it (-1 when absent).
+type place[K comparable, V any] struct {
+	t    *table[K, V]
+	head *stm.TVar[*bucket[K, V]]
+	b    *bucket[K, V]
+	i    int
 }
 
+// locate finds k inside tx with two transactional reads — the table
+// pointer and the bucket head — and a plain scan of the array.
+func (m *TMap[K, V]) locate(tx *stm.Tx, k K) place[K, V] {
+	t := m.tableOf(tx)
+	head := t.heads[t.bucketOf(m.hash, k)]
+	b := stm.Get(tx, head)
+	return place[K, V]{t: t, head: head, b: b, i: b.find(k)}
+}
+
+// val is the located key's value TVar; the key must be present.
+func (p place[K, V]) val() *stm.TVar[V] { return (*p.b)[p.i].val }
+
 // Get reads k's value inside tx; ok reports presence. The read set is
-// the table pointer plus the bucket chain walked plus the entry's value
-// — disjoint from every other bucket.
+// the table pointer, k's bucket head and k's value TVar — three reads,
+// disjoint from every other bucket.
 func (m *TMap[K, V]) Get(tx *stm.Tx, k K) (V, bool) {
-	_, cur := m.locate(tx, m.tableOf(tx), k)
-	if cur == nil {
+	p := m.locate(tx, k)
+	if p.i < 0 {
 		var zero V
 		return zero, false
 	}
-	return stm.Get(tx, cur.val), true
+	return stm.Get(tx, p.val()), true
 }
 
 // Contains reports whether k is present, without reading the value.
 func (m *TMap[K, V]) Contains(tx *stm.Tx, k K) bool {
-	_, cur := m.locate(tx, m.tableOf(tx), k)
-	return cur != nil
+	return m.locate(tx, k).i >= 0
 }
 
 // Put stores v under k inside tx. Overwriting an existing key writes
-// only that entry's value TVar; inserting links a fresh entry at the
-// chain head and, past the load-factor threshold, doubles the table.
-// Freshly created TVars are written through stm.Set inside tx (not
-// seeded via NewTVar), so the whole insert is visible to an attached
-// recorder — see the package's conformance discipline.
+// only that key's value TVar; inserting publishes a new bucket array
+// and, past the growth threshold, doubles the table.
 func (m *TMap[K, V]) Put(tx *stm.Tx, k K, v V) {
-	if m.brokenChain {
-		m.putBroken(tx, k, v)
+	p := m.locate(tx, k)
+	if p.i >= 0 {
+		stm.Set(tx, p.val(), v)
 		return
 	}
-	t := m.tableOf(tx)
-	_, cur := m.locate(tx, t, k)
-	if cur != nil {
-		stm.Set(tx, cur.val, v)
-		return
+	m.insert(tx, p, k, v)
+}
+
+// Update applies fn to k's current value (ok reports presence), stores
+// the result under k and returns it — read-modify-write on one lookup:
+// for a present key, three reads and one write.
+func (m *TMap[K, V]) Update(tx *stm.Tx, k K, fn func(v V, ok bool) V) V {
+	p := m.locate(tx, k)
+	if p.i >= 0 {
+		val := p.val()
+		next := fn(stm.Get(tx, val), true)
+		stm.Set(tx, val, next)
+		return next
 	}
-	b := t.bucketOf(m.hash, k)
-	head := t.buckets[b]
-	e := &entry[K, V]{
-		key:  k,
-		val:  stm.NewTVar[V](*new(V)),
-		next: stm.NewTVar[*entry[K, V]](nil),
+	var zero V
+	next := fn(zero, false)
+	m.insert(tx, p, k, next)
+	return next
+}
+
+// insert adds the absent key k at p: a fresh value TVar, and a copy of
+// the bucket's array with k's slot appended, published through the
+// head. The value TVar is written through stm.Set inside tx (not seeded
+// via NewTVar), so the whole insert is visible to an attached recorder
+// — see the package's conformance discipline.
+func (m *TMap[K, V]) insert(tx *stm.Tx, p place[K, V], k K, v V) {
+	val := stm.NewTVar[V](*new(V))
+	stm.Set(tx, val, v)
+	n := p.b.size()
+	if m.brokenInsert {
+		n = 0 // the planted bug: the neighbours are not copied
 	}
-	stm.Set(tx, e.val, v)
-	stm.Set(tx, e.next, stm.Get(tx, head))
-	stm.Set(tx, head, e)
-	c := stm.Get(tx, t.counts[b]) + 1
-	stm.Set(tx, t.counts[b], c)
-	if c > growChainLen && len(t.buckets) < maxBuckets {
-		m.grow(tx, t)
+	nb := make(bucket[K, V], n+1)
+	if n > 0 {
+		copy(nb, *p.b)
+	}
+	nb[n] = slot[K, V]{key: k, val: val}
+	stm.Set(tx, p.head, &nb)
+	if len(nb) > growChainLen && len(p.t.heads) < maxBuckets {
+		m.grow(tx, p.t)
 	}
 }
 
 // grow rehashes generation old into a table of twice the size and
-// swaps the map's table TVar, all inside tx. Entries move whole — the
-// same entry structs, value TVars untouched, only the chain links
-// rewritten — so an overwrite racing the growth conflicts on exactly
-// the TVars it would have anyway. The transaction's footprint is the
-// entire old table, which is what makes the swap safe: any concurrent
-// operation that saw the old generation overlaps it and serializes.
+// swaps the map's table TVar, all inside tx. Slots move whole — value
+// TVars untouched, only the arrays rebuilt — so an overwrite racing the
+// growth conflicts on exactly the TVars it would have anyway. The
+// transaction's footprint is the entire old table, which is what makes
+// the swap safe: any concurrent operation that saw the old generation
+// overlaps it and serializes. The new generation's heads are written
+// through stm.Set like every fresh TVar; empty buckets keep their nil
+// initial value.
 func (m *TMap[K, V]) grow(tx *stm.Tx, old *table[K, V]) {
-	n := len(old.buckets) * 2
-	nt := newTable[K, V](n, old.shift-1)
-	moved := make([]int64, n)
-	for _, head := range old.buckets {
-		cur := stm.Get(tx, head)
-		for cur != nil {
-			next := stm.Get(tx, cur.next)
-			b := nt.bucketOf(m.hash, cur.key)
-			stm.Set(tx, cur.next, stm.Get(tx, nt.buckets[b]))
-			stm.Set(tx, nt.buckets[b], cur)
-			moved[b]++
-			cur = next
+	nt := newTable[K, V](len(old.heads)*2, old.shift-1)
+	next := make([]bucket[K, V], len(nt.heads))
+	for _, head := range old.heads {
+		b := stm.Get(tx, head)
+		if b == nil {
+			continue
+		}
+		for _, s := range *b {
+			i := nt.bucketOf(m.hash, s.key)
+			next[i] = append(next[i], s)
 		}
 	}
-	for b, c := range moved {
-		if c != 0 {
-			stm.Set(tx, nt.counts[b], c)
+	for i := range next {
+		if len(next[i]) > 0 {
+			stm.Set(tx, nt.heads[i], &next[i])
 		}
 	}
 	stm.Set(tx, m.tab, nt)
 }
 
-// Delete removes k inside tx, reporting whether the map changed. A miss
-// leaves the transaction read-only for this op.
+// Delete removes k inside tx, reporting whether the map changed. A hit
+// publishes the bucket's array without k's slot — nil when k was the
+// bucket's last key — so it conflicts with every concurrent operation
+// on the bucket, as an insert does. A miss leaves the transaction
+// read-only for this op.
 func (m *TMap[K, V]) Delete(tx *stm.Tx, k K) bool {
-	t := m.tableOf(tx)
-	prev, cur := m.locate(tx, t, k)
-	if cur == nil {
+	p := m.locate(tx, k)
+	if p.i < 0 {
 		return false
 	}
-	stm.Set(tx, prev, stm.Get(tx, cur.next))
-	b := t.bucketOf(m.hash, k)
-	stm.Update(tx, t.counts[b], func(n int64) int64 { return n - 1 })
+	var nb *bucket[K, V]
+	if old := *p.b; len(old) > 1 {
+		rest := make(bucket[K, V], 0, len(old)-1)
+		rest = append(append(rest, old[:p.i]...), old[p.i+1:]...)
+		nb = &rest
+	}
+	stm.Set(tx, p.head, nb)
 	return true
 }
 
-// Len returns the entry count inside tx. It reads every bucket's
-// counter (not every chain), so it is O(buckets) and conflicts with all
-// concurrent inserts and deletes — an inherently global question.
+// Len returns the entry count inside tx. It reads every bucket head
+// (and no value), so it is O(buckets) and conflicts with all concurrent
+// inserts and deletes — an inherently global question — but with no
+// overwrite.
 func (m *TMap[K, V]) Len(tx *stm.Tx) int {
-	var n int64
-	for _, c := range m.tableOf(tx).counts {
-		n += stm.Get(tx, c)
+	n := 0
+	for _, head := range m.tableOf(tx).heads {
+		n += stm.Get(tx, head).size()
 	}
-	return int(n)
+	return n
 }
 
 // LenQuiesced returns the entry count without a transaction, by
-// peeking every bucket counter of the current generation. Each peek is
+// peeking every bucket head of the current generation. Each peek is
 // individually consistent, so the sum is exact only when the caller
 // excludes all concurrent transactions on the map's engine for the
 // duration — the contract store.Len provides by holding every
@@ -309,59 +387,45 @@ func (m *TMap[K, V]) Len(tx *stm.Tx) int {
 // sum is a monitoring approximation, like summing sharded counters
 // anywhere.
 func (m *TMap[K, V]) LenQuiesced() int {
-	var n int64
-	for _, c := range m.tablePeek().counts {
-		n += c.Peek()
+	n := 0
+	for _, head := range m.tablePeek().heads {
+		n += head.Peek().size()
 	}
-	return int(n)
+	return n
 }
 
 // ForEach visits every entry inside tx, in unspecified order, until fn
 // returns false. The read set is the whole table; use it for snapshots
 // and administration, not hot paths.
 func (m *TMap[K, V]) ForEach(tx *stm.Tx, fn func(k K, v V) bool) {
-	for _, head := range m.tableOf(tx).buckets {
-		for cur := stm.Get(tx, head); cur != nil; cur = stm.Get(tx, cur.next) {
-			if !fn(cur.key, stm.Get(tx, cur.val)) {
+	for _, head := range m.tableOf(tx).heads {
+		b := stm.Get(tx, head)
+		if b == nil {
+			continue
+		}
+		for _, s := range *b {
+			if !fn(s.key, stm.Get(tx, s.val)) {
 				return
 			}
 		}
 	}
 }
 
-// putBroken is the planted chain-handling bug: it replaces the bucket
-// head outright, dropping whatever chain hung off it, so a key that
-// aliases into the bucket silently deletes its neighbors. It never
-// grows the table — the fixture's single bucket is the point.
-func (m *TMap[K, V]) putBroken(tx *stm.Tx, k K, v V) {
-	t := m.tableOf(tx)
-	b := t.bucketOf(m.hash, k)
-	head := t.buckets[b]
-	e := &entry[K, V]{
-		key:  k,
-		val:  stm.NewTVar[V](*new(V)),
-		next: stm.NewTVar[*entry[K, V]](nil),
-	}
-	stm.Set(tx, e.val, v)
-	stm.Set(tx, head, e)
-	stm.Update(tx, t.counts[b], func(n int64) int64 { return n + 1 })
-}
-
 // NewAliasedTMapForTest builds the conformance harness's planted-bug
-// fixture: a single-bucket table (every key aliases onto one chain-head
-// TVar) whose Put mishandles the chain — it replaces the head instead
-// of walking it, so putting key B destroys key A's entry. Recorded
-// store histories over this map read values that were never written to
-// the keys they came from; the consistency checkers must convict it,
-// which is the harness's self-test for the structure layer (mirroring
-// stm.NewBrokenEngineForTest at the engine layer). Not registered, not
-// for production use.
+// fixture: a single-bucket table (every key aliases onto one head TVar)
+// whose insert mishandles the bucket — it publishes a one-slot array
+// instead of a copy with the new slot added, so putting key B destroys
+// key A's slot. Recorded store histories over this map read values that
+// were never written to the keys they came from; the consistency
+// checkers must convict it, which is the harness's self-test for the
+// structure layer (mirroring stm.NewBrokenEngineForTest at the engine
+// layer). Not registered, not for production use.
 func NewAliasedTMapForTest[K comparable, V any]() *TMap[K, V] {
 	hash := hasherFor[K]()
 	if hash == nil {
 		hash = func(K) uint64 { return 0 }
 	}
 	m := NewTMapFunc[K, V](1, hash)
-	m.brokenChain = true
+	m.brokenInsert = true
 	return m
 }

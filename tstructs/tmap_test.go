@@ -2,6 +2,7 @@ package tstructs
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -20,67 +21,293 @@ func engines(t *testing.T) []*stm.Engine {
 	return out
 }
 
-// TestTMapBasicOps drives the map's whole surface sequentially on every
-// engine against a plain Go map as the model.
-func TestTMapBasicOps(t *testing.T) {
+// modelMap pairs a TMap with the plain Go map it must agree with, and
+// checks every operation's result against that model as it goes.
+type modelMap struct {
+	m     *TMap[string, int64]
+	model map[string]int64
+}
+
+// The operations modelMap.apply knows, in the order the random test
+// draws them.
+const (
+	opGet = iota
+	opContains
+	opPut
+	opUpdate
+	opDelete
+	opLen
+	opForEach
+	numOps
+)
+
+// apply runs one operation, picked by op, on the map inside tx and on
+// the model, and returns a description of the first disagreement.
+func (mm *modelMap) apply(tx *stm.Tx, op int, k string, v int64) error {
+	want, wantOK := mm.model[k]
+	switch op {
+	case opGet:
+		if got, ok := mm.m.Get(tx, k); got != want || ok != wantOK {
+			return fmt.Errorf("Get(%q) = %d,%v, model %d,%v", k, got, ok, want, wantOK)
+		}
+	case opContains:
+		if got := mm.m.Contains(tx, k); got != wantOK {
+			return fmt.Errorf("Contains(%q) = %v, model %v", k, got, wantOK)
+		}
+	case opPut:
+		mm.m.Put(tx, k, v)
+		mm.model[k] = v
+	case opUpdate:
+		var seen int64
+		var seenOK bool
+		got := mm.m.Update(tx, k, func(cur int64, ok bool) int64 {
+			seen, seenOK = cur, ok
+			return cur + v
+		})
+		if seen != want || seenOK != wantOK || got != want+v {
+			return fmt.Errorf("Update(%q) saw %d,%v and returned %d, model %d,%v -> %d",
+				k, seen, seenOK, got, want, wantOK, want+v)
+		}
+		mm.model[k] = want + v
+	case opDelete:
+		if got := mm.m.Delete(tx, k); got != wantOK {
+			return fmt.Errorf("Delete(%q) = %v, model %v", k, got, wantOK)
+		}
+		delete(mm.model, k)
+	case opLen:
+		if got := mm.m.Len(tx); got != len(mm.model) {
+			return fmt.Errorf("Len = %d, model %d", got, len(mm.model))
+		}
+	case opForEach:
+		seen := map[string]int64{}
+		mm.m.ForEach(tx, func(k string, v int64) bool {
+			seen[k] = v
+			return true
+		})
+		if !maps.Equal(seen, mm.model) {
+			return fmt.Errorf("ForEach visited %v, model %v", seen, mm.model)
+		}
+	}
+	return nil
+}
+
+// TestTMapModel is the model-based property test: seeded random
+// multi-operation transactions over the map's whole surface, checked
+// operation by operation against a plain Go map, on every engine. The
+// table starts at two buckets under 48 keys, so transactions keep
+// inserting into occupied buckets, growing the table mid-transaction
+// and deleting buckets down to empty. A third of the transactions abort
+// and a third of the rest run part of their operations in an OrElse
+// branch that then retries: both must leave no trace in the map.
+func TestTMapModel(t *testing.T) {
+	errAbort := fmt.Errorf("deliberate abort")
+	for _, e := range engines(t) {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", e.Kind(), seed), func(t *testing.T) {
+				r := rand.New(rand.NewSource(seed))
+				mm := &modelMap{m: NewTMap[string, int64](2), model: map[string]int64{}}
+				for step := 0; step < 600; step++ {
+					type op struct {
+						kind int
+						key  string
+						val  int64
+					}
+					ops := make([]op, 1+r.Intn(6))
+					for i := range ops {
+						ops[i] = op{r.Intn(numOps), fmt.Sprintf("key-%d", r.Intn(48)), int64(r.Intn(1000))}
+						if ops[i].kind >= opLen && r.Intn(4) != 0 {
+							ops[i].kind = opPut + r.Intn(3) // keep the whole-table reads rare
+						}
+					}
+					abort := r.Intn(3) == 0
+					branch := 0 // ops[:branch] run in an OrElse branch that retries
+					if !abort && r.Intn(3) == 0 {
+						branch = 1 + r.Intn(len(ops))
+					}
+					committed := maps.Clone(mm.model)
+					err := e.Atomically(func(tx *stm.Tx) error {
+						mm.model = maps.Clone(committed)
+						run := func(tx *stm.Tx, ops []op) error {
+							for _, o := range ops {
+								if err := mm.apply(tx, o.kind, o.key, o.val); err != nil {
+									return err
+								}
+							}
+							return nil
+						}
+						if branch > 0 {
+							err := stm.OrElse(tx, func(tx *stm.Tx) error {
+								if err := run(tx, ops[:branch]); err != nil {
+									return err
+								}
+								stm.Retry(tx)
+								return nil
+							}, func(tx *stm.Tx) error {
+								mm.model = maps.Clone(committed) // the branch rolled back
+								return nil
+							})
+							if err != nil {
+								return err
+							}
+						}
+						if err := run(tx, ops[branch:]); err != nil {
+							return err
+						}
+						if abort {
+							return errAbort
+						}
+						return nil
+					})
+					switch {
+					case abort && err == errAbort:
+						mm.model = committed
+					case err != nil:
+						t.Fatalf("step %d (%v, abort %v, branch %d): %v", step, ops, abort, branch, err)
+					}
+				}
+				// What the committed transactions left is the model, read back
+				// in a transaction and through the quiesced count.
+				if err := e.Atomically(func(tx *stm.Tx) error {
+					if err := mm.apply(tx, opLen, "", 0); err != nil {
+						return err
+					}
+					return mm.apply(tx, opForEach, "", 0)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if got := mm.m.LenQuiesced(); got != len(mm.model) {
+					t.Fatalf("LenQuiesced = %d, model %d", got, len(mm.model))
+				}
+				if mm.m.Buckets() <= 2 {
+					t.Fatalf("table never grew (%d buckets): the run did not cover growth", mm.m.Buckets())
+				}
+			})
+		}
+	}
+}
+
+// TestTMapSameTransactionSequences pins the sequences in which one
+// transaction meets its own structural changes — each reads a bucket
+// array the same transaction published — on every engine.
+func TestTMapSameTransactionSequences(t *testing.T) {
 	for _, e := range engines(t) {
 		t.Run(e.Kind().String(), func(t *testing.T) {
-			m := NewTMap[string, int64](8)
-			model := map[string]int64{}
-			r := rand.New(rand.NewSource(1))
-			for i := 0; i < 2000; i++ {
-				k := fmt.Sprintf("key-%d", r.Intn(64))
-				switch r.Intn(10) {
-				case 0, 1: // delete
-					var got bool
-					_ = e.Atomically(func(tx *stm.Tx) error {
-						got = m.Delete(tx, k)
-						return nil
-					})
-					_, want := model[k]
-					if got != want {
-						t.Fatalf("Delete(%q) = %v, model %v", k, got, want)
-					}
-					delete(model, k)
-				case 2, 3, 4: // get
-					var got int64
-					var ok bool
-					_ = e.Atomically(func(tx *stm.Tx) error {
-						got, ok = m.Get(tx, k)
-						return nil
-					})
-					want, wantOK := model[k]
-					if ok != wantOK || got != want {
-						t.Fatalf("Get(%q) = %d,%v, model %d,%v", k, got, ok, want, wantOK)
-					}
-				default: // put
-					v := int64(i)
-					_ = e.Atomically(func(tx *stm.Tx) error {
-						m.Put(tx, k, v)
-						return nil
-					})
-					model[k] = v
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
 				}
 			}
-			var n int
-			snapshot := map[string]int64{}
-			_ = e.Atomically(func(tx *stm.Tx) error {
-				n = m.Len(tx)
-				m.ForEach(tx, func(k string, v int64) bool {
-					snapshot[k] = v
-					return true
-				})
+			expect := func(tx *stm.Tx, m *TMap[int64, int64], k, want int64, wantOK bool) error {
+				if v, ok := m.Get(tx, k); v != want || ok != wantOK {
+					return fmt.Errorf("Get(%d) = %d,%v want %d,%v", k, v, ok, want, wantOK)
+				}
 				return nil
-			})
-			if n != len(model) {
-				t.Fatalf("Len = %d, model %d", n, len(model))
 			}
-			if len(snapshot) != len(model) {
-				t.Fatalf("ForEach visited %d entries, model %d", len(snapshot), len(model))
+
+			// insert -> get -> delete -> re-insert of one key.
+			m := NewTMap[int64, int64](4)
+			must(e.Atomically(func(tx *stm.Tx) error {
+				m.Put(tx, 7, 70)
+				if err := expect(tx, m, 7, 70, true); err != nil {
+					return err
+				}
+				if !m.Delete(tx, 7) {
+					return fmt.Errorf("Delete of the key just inserted missed")
+				}
+				if err := expect(tx, m, 7, 0, false); err != nil {
+					return err
+				}
+				m.Put(tx, 7, 71)
+				return expect(tx, m, 7, 71, true)
+			}))
+			must(e.Atomically(func(tx *stm.Tx) error {
+				if n := m.Len(tx); n != 1 {
+					return fmt.Errorf("Len = %d after insert/delete/re-insert, want 1", n)
+				}
+				return expect(tx, m, 7, 71, true)
+			}))
+
+			// Two inserts into one bucket: the second copies the array the
+			// first published.
+			a, b := int64(100), int64(101)
+			for m.BucketOf(b) != m.BucketOf(a) {
+				b++
 			}
-			for k, v := range model {
-				if snapshot[k] != v {
-					t.Fatalf("snapshot[%q] = %d, model %d", k, snapshot[k], v)
+			must(e.Atomically(func(tx *stm.Tx) error {
+				m.Put(tx, a, 1)
+				m.Put(tx, b, 2)
+				if err := expect(tx, m, a, 1, true); err != nil {
+					return err
+				}
+				return expect(tx, m, b, 2, true)
+			}))
+			must(e.Atomically(func(tx *stm.Tx) error {
+				if err := expect(tx, m, a, 1, true); err != nil {
+					return err
+				}
+				return expect(tx, m, b, 2, true)
+			}))
+
+			// An OrElse branch inserts (growing the table) and retries: the
+			// insert, the growth and the new value TVars all roll back.
+			g := NewTMap[int64, int64](1)
+			must(e.Atomically(func(tx *stm.Tx) error {
+				return stm.OrElse(tx, func(tx *stm.Tx) error {
+					for k := int64(0); k < 2*growChainLen; k++ {
+						g.Put(tx, k, k)
+					}
+					stm.Retry(tx)
+					return nil
+				}, func(tx *stm.Tx) error {
+					if n := g.Len(tx); n != 0 {
+						return fmt.Errorf("Len = %d inside the alternative, want 0", n)
+					}
+					g.Put(tx, 1, 10)
+					return nil
+				})
+			}))
+			if got := g.Buckets(); got != 1 {
+				t.Fatalf("rolled-back branch left %d buckets, want 1", got)
+			}
+			must(e.Atomically(func(tx *stm.Tx) error {
+				if n := g.Len(tx); n != 1 {
+					return fmt.Errorf("Len = %d after the OrElse, want 1", n)
+				}
+				return expect(tx, g, 1, 10, true)
+			}))
+
+			// Growth in the middle of a transaction: keys inserted before and
+			// after the rehash are all readable before it commits.
+			const n = 8 * growChainLen
+			must(e.Atomically(func(tx *stm.Tx) error {
+				for k := int64(0); k < n; k++ {
+					g.Put(tx, k, k*2)
+				}
+				for k := int64(0); k < n; k++ {
+					if err := expect(tx, g, k, k*2, true); err != nil {
+						return err
+					}
+				}
+				return nil
+			}))
+			if got := g.Buckets(); got < n/growChainLen {
+				t.Fatalf("%d keys left %d buckets: no growth", n, got)
+			}
+
+			// Deleting a bucket's keys down to none puts its head back to
+			// nil — an emptied bucket is indistinguishable from a fresh one.
+			must(e.Atomically(func(tx *stm.Tx) error {
+				for k := int64(0); k < n; k++ {
+					if !g.Delete(tx, k) {
+						return fmt.Errorf("Delete(%d) missed", k)
+					}
+				}
+				return nil
+			}))
+			for i, head := range g.tablePeek().heads {
+				if b := head.Peek(); b != nil {
+					t.Fatalf("bucket %d emptied by deletes holds %v, want a nil head", i, *b)
 				}
 			}
 		})

@@ -19,11 +19,14 @@
 // on true conflicts:
 //
 //   - TMap hashes keys over a power-of-two bucket table (Fibonacci
-//     multiply-shift, same discipline as the engines' orec table), one
-//     chain-head TVar per bucket and one value TVar per entry, so
-//     operations on keys in different buckets have disjoint read and
-//     write sets and never false-conflict; overwrites of an existing key
-//     touch only that entry's value TVar.
+//     multiply-shift, same discipline as the engines' orec table). A
+//     bucket is one head TVar pointing at an immutable array of
+//     {key, value TVar} slots, replaced copy-on-write by inserts and
+//     deletes, so a lookup reads three TVars (table, head, value)
+//     whatever the bucket holds. Operations on keys in different
+//     buckets have disjoint read and write sets and never
+//     false-conflict; overwrites of an existing key touch only that
+//     key's value TVar.
 //   - TQueue concentrates conflicts at the two ends of the list — which
 //     is the point of a queue — and blocks empty takers with stm.Retry
 //     so they wake exactly when a producer commits.
@@ -33,10 +36,13 @@
 // # Allocation contract
 //
 // Steady-state operations stay on the engines' zero-allocation hot
-// path: TMap get, overwrite-put and delete, TSet contains, and TQueue
-// take of an already-linked node perform no heap allocations (gated in
-// alloc_test.go with testing.AllocsPerRun, engine by engine). Inserting
-// links fresh nodes and necessarily allocates them; nothing else does.
+// path: TMap get, overwrite-put, update of a present key and delete of
+// an absent one, TSet contains, and TQueue take of an already-linked
+// node perform no heap allocations (gated in alloc_test.go with
+// testing.AllocsPerRun, engine by engine). Structural changes allocate
+// what they publish — fresh nodes, or a TMap bucket's new array — and
+// nothing else does. footprint_test.go pins the other half of the
+// cost: the transactional reads and writes per TMap operation.
 //
 // # Conformance discipline
 //
