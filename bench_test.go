@@ -9,6 +9,7 @@
 //	E2     — decision-procedure cost of the consistency conditions
 //	E9     — polynomial certification cost vs history size
 //	E10    — durability cost across wal acknowledgement modes
+//	E14    — a durable cross commit, footprint declared vs discovered vs swept
 //
 // Run with: go test -bench=. -benchmem .
 package pcltm
@@ -29,6 +30,7 @@ import (
 	"pcltm/internal/wal"
 	"pcltm/internal/workload"
 	"pcltm/stm"
+	"pcltm/store"
 )
 
 // mustProto resolves a portfolio protocol through the shared registry or
@@ -442,6 +444,55 @@ func BenchmarkE10Durability(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkE14CrossFootprint prices one durable two-partition transfer
+// on a four-partition store (in-memory log, group ack) by how the
+// transaction learns its footprint (experiment E14): declared by the
+// caller (store.CrossOn — the body runs once), discovered by a first run
+// under no locks (store.Cross — twice), or every partition declared
+// (store.CrossSweep — once, under the whole store's locks). One caller,
+// so the locks are uncontended and the difference is the discovery run
+// and the two extra lock pairs.
+func BenchmarkE14CrossFootprint(b *testing.B) {
+	s, _, err := store.OpenDurable(store.DurableConfig[int64, int64]{
+		Store:   store.Config{Partitions: 4, Buckets: 64},
+		Backend: wal.NewMemBackend(),
+		Codec:   store.Int64Codec(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.CloseWAL()
+	from, to := int64(1), int64(2)
+	for s.PartitionOf(to) == s.PartitionOf(from) {
+		to++
+	}
+	parts := []int{s.PartitionOf(from), s.PartitionOf(to)}
+	transfer := func(ct *store.CrossTx[int64, int64]) error {
+		a, _ := ct.Get(from)
+		ct.Put(from, a-1)
+		c, _ := ct.Get(to)
+		ct.Put(to, c+1)
+		return nil
+	}
+	for _, path := range []struct {
+		name string
+		run  func() error
+	}{
+		{"declared", func() error { return s.CrossOn(parts, transfer) }},
+		{"discovered", func() error { return s.Cross(transfer) }},
+		{"sweep", func() error { return s.CrossSweep(transfer) }},
+	} {
+		b.Run(path.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := path.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,8 +1,9 @@
 // Command tmbench measures the P/C/L tradeoff empirically.
 //
 // Real mode (-mode real, default) drives the production stm/ engines with
-// goroutine workloads and prints throughput, aborts and retries across
-// contention patterns and worker counts — the E1 experiment of
+// goroutine workloads and prints throughput, aborts and retries — conflict
+// retries only: an attempt parked in stm.Retry is a wait (stm.Stats.Waits)
+// and is not in that column — across contention patterns and worker counts — the E1 experiment of
 // EXPERIMENTS.md: disjoint workloads reward parallelism-friendly designs,
 // contended workloads surface the consistency price. With -json FILE the
 // same results are also written as machine-readable JSON (the BENCH_*.json

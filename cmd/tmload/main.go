@@ -208,11 +208,12 @@ func preload(client *http.Client, base string, keys int) error {
 	return nil
 }
 
+// postTx renders cmds with the server's own append-style encoder — so
+// the generator measures the server, not its own marshalling — into a
+// fresh slice: the transport may still be reading a request's body after
+// the response has come back, so the bytes are not reused.
 func postTx(client *http.Client, base string, cmds []server.Command) error {
-	body, err := json.Marshal(server.TxRequest{Cmds: cmds})
-	if err != nil {
-		return err
-	}
+	body := server.AppendTxRequest(nil, cmds)
 	resp, err := client.Post(base+"/tx", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err

@@ -197,7 +197,7 @@ func TestCrossDecidedMissingParticipantVoids(t *testing.T) {
 	forge(t, b, "wal-0000000000000000.seg",
 		metaPayload(2),
 		appendCrossPayload(nil, 3, 0, 1, 1, crossOps(3, 0)),
-		decisionPayload(3, []CrossPart{{Part: 0, Seq: 1}, {Part: 1, Seq: 1}}),
+		appendDecisionPayload(nil, 3, []CrossPart{{Part: 0, Seq: 1}, {Part: 1, Seq: 1}}),
 	)
 	scan, err := Scan(b)
 	if err != nil {
@@ -222,7 +222,7 @@ func TestCrossCascadeVoid(t *testing.T) {
 		metaPayload(2),
 		appendCrossPayload(nil, 5, 0, 1, 1, crossOps(5, 0)),
 		appendCrossPayload(nil, 5, 1, 2, 1, crossOps(5, 1)),
-		decisionPayload(5, []CrossPart{{Part: 0, Seq: 1}, {Part: 1, Seq: 2}}),
+		appendDecisionPayload(nil, 5, []CrossPart{{Part: 0, Seq: 1}, {Part: 1, Seq: 2}}),
 		appendTxnPayload(nil, 0, 2, 1, AppendOp(nil, false, []byte("x"), []byte("y"))),
 	)
 	scan, err := Scan(b)
@@ -253,7 +253,7 @@ func TestCrossStaleDecisionCannotAdoptReusedSeq(t *testing.T) {
 		metaPayload(2),
 		// Gen 1: decided cross, but participant (p1,1) payload lost.
 		appendCrossPayload(nil, 9, 0, 1, 1, crossOps(9, 0)),
-		decisionPayload(9, []CrossPart{{Part: 0, Seq: 1}, {Part: 1, Seq: 1}}),
+		appendDecisionPayload(nil, 9, []CrossPart{{Part: 0, Seq: 1}, {Part: 1, Seq: 1}}),
 	)
 	forge(t, b, "wal-0000000000000001.seg",
 		metaPayload(2),

@@ -35,13 +35,12 @@ type Log struct {
 	next  []uint64
 	ready []map[uint64]*appendReq
 
-	// Cross-transaction release state: decided marks decision records
-	// durable, members names each open cross's participants, nextCross
-	// allocates ids (monotone over the log's whole life — seeded past
-	// everything the scan saw, so a stale decision can never adopt a new
-	// generation's payload).
-	decided   map[uint64]bool
-	members   map[uint64][]CrossPart
+	// Cross-transaction release state: crosses maps each open cross's id
+	// to its decision request, which names the participants and knows
+	// whether the decision is durable; nextCross allocates ids (monotone
+	// over the log's whole life — seeded past everything the scan saw, so
+	// a stale decision can never adopt a new generation's payload).
+	crosses   map[uint64]*appendReq
 	nextCross uint64
 
 	// writer-only state (no lock needed).
@@ -55,17 +54,20 @@ type Log struct {
 		Stats
 	}
 
-	reqPool sync.Pool
+	reqPool   sync.Pool // *appendReq
+	crossPool sync.Pool // *crossAppend
 }
 
 type appendReq struct {
 	part     int
 	seq      uint64
-	cross    uint64     // non-zero: payload record of that cross transaction
-	decision bool       // true: this is cross's decision record (part/seq unused)
-	scratch  []byte     // payload build space, reused across pool cycles
-	frame    []byte     // complete record: header + payload
-	done     chan error // nil for async appends
+	cross    uint64      // non-zero: payload record of that cross transaction
+	decision bool        // true: this is cross's decision record (part/seq unused)
+	durable  bool        // decision only: the record has been synced
+	members  []CrossPart // decision only: the participants' (Part, Seq); reused across pool cycles
+	scratch  []byte      // payload build space, reused across pool cycles
+	frame    []byte      // complete record: header + payload
+	done     chan error  // nil for async appends
 }
 
 // Start opens the log for appending on top of a completed Scan: it
@@ -89,8 +91,7 @@ func Start(backend Backend, opts Options, scan *ScanResult) (*Log, error) {
 		sealed:    make(chan struct{}),
 		next:      make([]uint64, opts.Partitions),
 		ready:     make([]map[uint64]*appendReq, opts.Partitions),
-		decided:   make(map[uint64]bool),
-		members:   make(map[uint64][]CrossPart),
+		crosses:   make(map[uint64]*appendReq),
 		nextCross: scan.maxCrossID,
 		segIdx:    scan.nextSegIdx,
 	}
@@ -168,13 +169,9 @@ func (l *Log) Append(part int, seq uint64, nops int, ops []byte) error {
 
 	async := l.opts.Ack == AckAsync
 	l.mu.Lock()
-	if l.closed || l.failure != nil {
-		err := l.failure
+	if err := l.unusableLocked(); err != nil {
 		l.mu.Unlock()
-		if err != nil {
-			return &FailedError{Cause: err}
-		}
-		return ErrClosed
+		return err
 	}
 	done := req.done
 	if async {
@@ -201,77 +198,72 @@ func (l *Log) Append(part int, seq uint64, nops int, ops []byte) error {
 // contiguously in its own partition — or reports the storage fault;
 // under AckAsync it returns immediately. Splitting enqueue from wait
 // lets the store release its partition locks before sleeping on the
-// fsync.
+// fsync. wait may be called at most once: it recycles the call's
+// bookkeeping, so neither AppendCross nor wait allocates in steady
+// state.
 func (l *Log) AppendCross(parts []CrossPart) (wait func() error, err error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("wal: AppendCross: no participants")
 	}
-	seen := make(map[int]bool, len(parts))
-	for _, m := range parts {
+	for i, m := range parts {
 		if m.Part < 0 || m.Part >= l.opts.Partitions {
 			return nil, fmt.Errorf("wal: AppendCross: partition %d out of range", m.Part)
 		}
-		if seen[m.Part] {
-			return nil, fmt.Errorf("wal: AppendCross: duplicate participant partition %d", m.Part)
+		// Participants are at most one per partition, so the quadratic
+		// scan is over a handful of entries.
+		for _, earlier := range parts[:i] {
+			if earlier.Part == m.Part {
+				return nil, fmt.Errorf("wal: AppendCross: duplicate participant partition %d", m.Part)
+			}
 		}
-		seen[m.Part] = true
 	}
 
-	async := l.opts.Ack == AckAsync
-	reqs := make([]*appendReq, 0, len(parts)+1)
-	dones := make([]chan error, 0, len(parts)+1)
-
 	l.mu.Lock()
-	if l.closed || l.failure != nil {
-		ferr := l.failure
+	if err := l.unusableLocked(); err != nil {
 		l.mu.Unlock()
-		if ferr != nil {
-			return nil, &FailedError{Cause: ferr}
-		}
-		return nil, ErrClosed
+		return nil, err
 	}
 	l.nextCross++
 	id := l.nextCross
 	l.mu.Unlock()
 
-	// Build frames outside the lock; the id is already reserved.
+	// Build frames outside the lock; the id is already reserved. The
+	// decision request doubles as the cross's release state: it carries
+	// the participant list the release fixpoint checks.
+	ca, _ := l.crossPool.Get().(*crossAppend)
+	if ca == nil {
+		ca = &crossAppend{l: l}
+		ca.wait = ca.await
+	}
+	dec := l.getReq()
+	dec.cross, dec.decision = id, true
 	for _, m := range parts {
 		req := l.getReq()
 		req.part, req.seq, req.cross = m.Part, m.Seq, id
 		req.scratch = appendCrossPayload(req.scratch[:0], id, m.Part, m.Seq, m.Nops, m.Ops)
 		req.frame = appendFrame(req.frame[:0], req.scratch)
-		reqs = append(reqs, req)
+		ca.reqs = append(ca.reqs, req)
+		dec.members = append(dec.members, CrossPart{Part: m.Part, Seq: m.Seq})
 	}
-	dec := l.getReq()
-	dec.cross, dec.decision = id, true
-	dec.scratch = append(dec.scratch[:0], decisionPayload(id, parts)...)
+	dec.scratch = appendDecisionPayload(dec.scratch[:0], id, dec.members)
 	dec.frame = appendFrame(dec.frame[:0], dec.scratch)
-	reqs = append(reqs, dec)
+	ca.reqs = append(ca.reqs, dec)
 
-	members := make([]CrossPart, len(parts))
-	for i, m := range parts {
-		members[i] = CrossPart{Part: m.Part, Seq: m.Seq}
-	}
-
+	async := l.opts.Ack == AckAsync
 	l.mu.Lock()
-	if l.closed || l.failure != nil {
-		ferr := l.failure
+	if err := l.unusableLocked(); err != nil {
 		l.mu.Unlock()
-		for _, req := range reqs {
+		for _, req := range ca.reqs {
 			l.reqPool.Put(req)
 		}
-		if ferr != nil {
-			return nil, &FailedError{Cause: ferr}
-		}
-		return nil, ErrClosed
+		ca.recycle()
+		return nil, err
 	}
-	l.members[id] = members
-	for _, req := range reqs {
-		done := req.done
+	l.crosses[id] = dec
+	for _, req := range ca.reqs {
 		if async {
 			req.done = nil
 		}
-		dones = append(dones, done)
 		l.queue = append(l.queue, req)
 	}
 	l.cond.Signal()
@@ -282,28 +274,65 @@ func (l *Log) AppendCross(parts []CrossPart) (wait func() error, err error) {
 	})
 
 	if async {
-		return func() error { return nil }, nil
+		// Nobody waits, so nobody learns when the writer is done with the
+		// requests: they are left to the collector.
+		ca.recycle()
+		return noWait, nil
 	}
-	return func() error {
-		var first error
-		for i, done := range dones {
-			err := <-done
-			if err != nil && first == nil {
-				first = err
-			}
-			reqs[i].done = done
-			l.reqPool.Put(reqs[i])
-		}
-		return first
-	}, nil
+	return ca.wait, nil
 }
+
+// unusableLocked returns the error appends get once the log is poisoned
+// or closed, nil while it is open. Callers hold l.mu.
+func (l *Log) unusableLocked() error {
+	if l.failure != nil {
+		return &FailedError{Cause: l.failure}
+	}
+	if l.closed {
+		return ErrClosed
+	}
+	return nil
+}
+
+// crossAppend is one AppendCross call's bookkeeping: the requests it
+// enqueued (participants, then the decision) and the wait function
+// handed to the caller, bound once so that returning it allocates
+// nothing.
+type crossAppend struct {
+	l    *Log
+	reqs []*appendReq
+	wait func() error // await, bound
+}
+
+// await collects every request's acknowledgement, recycling each request
+// as its acknowledgement arrives — the writer's send on done is its last
+// touch of a request — and then the bookkeeping itself.
+func (ca *crossAppend) await() error {
+	var first error
+	for _, req := range ca.reqs {
+		if err := <-req.done; err != nil && first == nil {
+			first = err
+		}
+		ca.l.reqPool.Put(req)
+	}
+	ca.recycle()
+	return first
+}
+
+func (ca *crossAppend) recycle() {
+	clear(ca.reqs)
+	ca.reqs = ca.reqs[:0]
+	ca.l.crossPool.Put(ca)
+}
+
+func noWait() error { return nil }
 
 func (l *Log) getReq() *appendReq {
 	req, _ := l.reqPool.Get().(*appendReq)
 	if req == nil {
 		req = &appendReq{done: make(chan error, 1)}
 	}
-	req.cross, req.decision = 0, false
+	req.cross, req.decision, req.durable, req.members = 0, false, false, req.members[:0]
 	return req
 }
 
@@ -438,7 +467,10 @@ func (l *Log) release(batch []*appendReq) {
 	defer l.mu.Unlock()
 	for _, req := range batch {
 		if req.decision {
-			l.decided[req.cross] = true
+			// Marked before the ack: the request stays referenced from
+			// crosses, and its appender recycles it only once every
+			// participant is acknowledged too (releaseCrossLocked).
+			req.durable = true
 			l.ackLocked(req.done)
 			continue
 		}
@@ -484,11 +516,11 @@ func (l *Log) advanceLocked() {
 // decision durable, every participant durable and at the head of its
 // partition's release queue. All participants advance together.
 func (l *Log) releaseCrossLocked(id uint64) bool {
-	if !l.decided[id] {
+	dec := l.crosses[id]
+	if dec == nil || !dec.durable {
 		return false
 	}
-	members := l.members[id]
-	for _, m := range members {
+	for _, m := range dec.members {
 		if l.next[m.Part] != m.Seq {
 			return false
 		}
@@ -496,14 +528,15 @@ func (l *Log) releaseCrossLocked(id uint64) bool {
 			return false
 		}
 	}
-	for _, m := range members {
+	delete(l.crosses, id)
+	// The last participant's ack lets the appender recycle every request
+	// of the cross, dec included: nothing below it may read dec.
+	for _, m := range dec.members {
 		req := l.ready[m.Part][m.Seq]
 		delete(l.ready[m.Part], m.Seq)
-		l.ackLocked(req.done)
 		l.next[m.Part]++
+		l.ackLocked(req.done)
 	}
-	delete(l.members, id)
-	delete(l.decided, id)
 	return true
 }
 

@@ -148,10 +148,10 @@ func appendCrossPayload(dst []byte, cross uint64, part int, seq uint64, nops int
 	return append(dst, ops...)
 }
 
-// decisionPayload builds a decision record: the commit point of cross
-// transaction cross, naming every participant's (part, seq).
-func decisionPayload(cross uint64, members []CrossPart) []byte {
-	dst := []byte{kindDecision}
+// appendDecisionPayload builds a decision record: the commit point of
+// cross transaction cross, naming every participant's (part, seq).
+func appendDecisionPayload(dst []byte, cross uint64, members []CrossPart) []byte {
+	dst = append(dst, kindDecision)
 	dst = appendUvarint(dst, cross)
 	dst = appendUvarint(dst, uint64(len(members)))
 	for _, m := range members {

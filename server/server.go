@@ -34,6 +34,19 @@
 // are transactions on the partition's own engine, so the network tier
 // inherits the store's isolation rather than reimplementing it.
 //
+// The two hot routes, /tx and /kv, are built to allocate next to
+// nothing per request: the wire format is read and written by the
+// hand-written codec in codec.go (encoding/json serves only /stats and
+// /history), routing is a switch on method and path, and everything a
+// request needs — body buffer, decoded commands, result slots, response
+// buffer, the pending hand-off with its done channel — lives in a
+// reqState recycled through a sync.Pool. The ownership rule that makes
+// the recycling safe: a reqState belongs to the handler goroutine that
+// took it, except between the commit of the enqueue transaction and the
+// receive on pending.done, when the partition's applier owns the
+// pending's commands and result slots; the applier's send on done is its
+// last touch of a pending, and the handler always waits for it.
+//
 // Admission is a tstructs.TBucket — the transactional token bucket —
 // spent inside a transaction per request batch: over-rate commands get
 // 429 before they touch a queue. The applier never parks holding its
@@ -46,8 +59,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,19 +177,57 @@ type Stats struct {
 	// WalAck and Wal describe the commit log on a durable server.
 	WalAck string     `json:"wal_ack,omitempty"`
 	Wal    *wal.Stats `json:"wal,omitempty"`
-	// Store aggregates every partition engine's counters.
+	// Store is every partition engine's counters, indexed by partition.
+	// Retries counts conflicts only; an applier parked on its empty queue
+	// is counted under Waits, so an idle server reads zero retries.
 	Store []stm.Stats `json:"store"`
 }
 
-// pending is one partition's share of a /tx request: commands plus the
-// response slots they fill. It crosses from handler to applier through
-// the partition's TQueue; done is the only synchronization of res —
-// the handler must not read res before receiving on done.
+// pending is a single-partition /tx request on its way through the
+// partition's applier: the commands and the response slots they fill,
+// index-aligned. It crosses from handler to applier through the
+// partition's TQueue; done is the only synchronization of res — the
+// handler must not read res before receiving on done, and the applier
+// must not touch the pending after sending on it, because the handler
+// recycles it then. done is buffered, so the applier never waits for the
+// handler, and carries exactly one value per use, so it is reused as is.
 type pending struct {
 	cmds []Command
-	idx  []int // position of each cmd in the request's result slice
 	res  []CmdResult
 	done chan error
+}
+
+// reqState is everything one /tx or /kv request needs that would
+// otherwise be allocated per request. See the package comment for who
+// owns it when.
+type reqState struct {
+	body  []byte      // request body, as read
+	cmds  []Command   // decoded from body
+	res   []CmdResult // one slot per command
+	parts []int       // distinct partitions of the commands' keys, in first-use order
+	out   []byte      // encoded reply
+	pend  pending     // the hand-off to an applier, pointing at cmds and res
+	add   *adder      // incr's function on the cross path, which runs on the handler's goroutine
+}
+
+var reqStates = sync.Pool{New: func() any {
+	return &reqState{pend: pending{done: make(chan error, 1)}, add: newAdder()}
+}}
+
+// Buffers larger than these are not kept by a recycled reqState, so one
+// huge batch does not pin its megabytes for the life of the process.
+const (
+	keptBodyBytes = 64 << 10
+	keptCmds      = 4096
+)
+
+func getReqState() *reqState { return reqStates.Get().(*reqState) }
+
+func putReqState(st *reqState) {
+	if cap(st.body) > keptBodyBytes || cap(st.cmds) > keptCmds {
+		return
+	}
+	reqStates.Put(st)
 }
 
 // ErrClosed is reported for commands caught in a server shutdown.
@@ -208,12 +262,17 @@ type Server struct {
 	// recovery is what boot found in the WAL (nil when not durable).
 	recovery *wal.ScanResult
 
-	closed  atomic.Bool
-	wg      sync.WaitGroup
-	batches atomic.Uint64
-	cmds    atomic.Uint64
-	crosses atomic.Uint64
-	reject  atomic.Uint64
+	closed atomic.Bool
+	// crossGate is held shared by every cross batch in flight and taken
+	// exclusive once by Close, after closed is set: the appliers drain
+	// their own work, but a cross batch commits on its handler's
+	// goroutine, and the WAL must not be sealed under it.
+	crossGate sync.RWMutex
+	wg        sync.WaitGroup
+	batches   atomic.Uint64
+	cmds      atomic.Uint64
+	crosses   atomic.Uint64
+	reject    atomic.Uint64
 }
 
 // histSegMax is the rotation grain: attempts per history segment.
@@ -361,6 +420,7 @@ func (s *Server) applier(part int) {
 	q := s.queues[part]
 	stopTV := s.stopped[part]
 	batch := make([]*pending, 0, s.batchMax)
+	add := newAdder()
 	for {
 		// Wait for work. This transaction touches only the queue and the
 		// stop flag, so parking in Retry holds no store lock.
@@ -414,14 +474,14 @@ func (s *Server) applier(part int) {
 				batch = append(batch, p)
 			}
 			for _, p := range batch {
-				applyCmds(partTx{tx, ph}, p.cmds, p.res)
+				applyCmds(partTx{tx, ph}, p.cmds, p.res, add)
 			}
 			return nil
 		})
 		s.batches.Add(1)
 		for _, p := range batch {
 			s.cmds.Add(uint64(len(p.cmds)))
-			p.done <- err
+			p.done <- err // the last touch of p: its handler recycles it now
 		}
 	}
 }
@@ -449,10 +509,29 @@ func (p partTx) Update(k int64, fn func(v int64, ok bool) int64) int64 {
 	return p.ph.Update(p.tx, k, fn)
 }
 
+// adder is incr's read-modify-write function with the delta in a field
+// instead of a captured variable: fn is bound once, so whoever owns an
+// adder interprets any number of incrs without allocating a closure for
+// each.
+type adder struct {
+	delta int64
+	fn    func(v int64, ok bool) int64 // add, bound
+}
+
+func newAdder() *adder {
+	a := new(adder)
+	a.fn = a.add
+	return a
+}
+
+func (a *adder) add(v int64, _ bool) int64 { return v + a.delta }
+
 // applyCmds is the command interpreter: it runs cmds in order inside t,
 // filling the index-aligned response slots. A type parameter instead of
 // an interface value keeps the applier's per-batch partTx off the heap.
-func applyCmds[T kv](t T, cmds []Command, res []CmdResult) {
+// add is the caller's adder; the decoder has already rejected any op
+// outside the four.
+func applyCmds[T kv](t T, cmds []Command, res []CmdResult, add *adder) {
 	for i, c := range cmds {
 		switch c.Op {
 		case "get":
@@ -462,12 +541,11 @@ func applyCmds[T kv](t T, cmds []Command, res []CmdResult) {
 			t.Put(c.Key, c.Value)
 			res[i] = CmdResult{Value: c.Value, Found: true}
 		case "incr":
-			delta := c.Value
-			if delta == 0 {
-				delta = 1
+			add.delta = c.Value
+			if add.delta == 0 {
+				add.delta = 1
 			}
-			v := t.Update(c.Key, func(v int64, _ bool) int64 { return v + delta })
-			res[i] = CmdResult{Value: v, Found: true}
+			res[i] = CmdResult{Value: t.Update(c.Key, add.fn), Found: true}
 		case "delete":
 			v, ok := t.Get(c.Key)
 			if ok {
@@ -478,17 +556,66 @@ func applyCmds[T kv](t T, cmds []Command, res []CmdResult) {
 	}
 }
 
-// Handler returns the HTTP surface.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /tx", s.handleTx)
-	mux.HandleFunc("GET /kv/{key}", s.handleKV)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /history", s.handleHistory)
-	return mux
+// Handler returns the HTTP surface: the five routes, matched on method
+// and exact path by hand. /tx and /kv replies all carry the same
+// Content-Type value slice (jsonContentType), so whatever wraps the
+// handler or its ResponseWriter may replace that header but must not
+// write through the slice it finds there.
+func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.route) }
+
+func (s *Server) route(w http.ResponseWriter, r *http.Request) {
+	switch path := r.URL.Path; {
+	case path == "/tx":
+		if allowed(w, r, http.MethodPost) {
+			s.handleTx(w, r)
+		}
+	case strings.HasPrefix(path, "/kv/"):
+		// One non-empty segment after /kv/, as the pattern /kv/{key} had.
+		if key := path[len("/kv/"):]; key == "" || strings.Contains(key, "/") {
+			http.NotFound(w, r)
+		} else if allowed(w, r, http.MethodGet) {
+			s.handleKV(w, key)
+		}
+	case path == "/healthz":
+		if allowed(w, r, http.MethodGet) {
+			_, _ = io.WriteString(w, "ok\n")
+		}
+	case path == "/stats":
+		if allowed(w, r, http.MethodGet) {
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(s.StatsSnapshot())
+		}
+	case path == "/history":
+		if allowed(w, r, http.MethodGet) {
+			s.handleHistory(w, r)
+		}
+	default:
+		http.NotFound(w, r)
+	}
+}
+
+// allowed reports whether r uses the route's method, answering 405 with
+// an Allow header when it does not. A GET route serves HEAD too.
+func allowed(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method || method == http.MethodGet && r.Method == http.MethodHead {
+		return true
+	}
+	if method == http.MethodGet {
+		method = "GET, HEAD"
+	}
+	w.Header().Set("Allow", method)
+	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	return false
+}
+
+// jsonContentType is the Content-Type value of every hot-route reply,
+// shared so that setting the header allocates nothing; net/http only
+// reads it (TestRoutes checks it after serving).
+var jsonContentType = []string{"application/json"}
+
+func writeReply(w http.ResponseWriter, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	_, _ = w.Write(body)
 }
 
 // handleHistory drains the shared recorder into the accumulated attempt
@@ -539,124 +666,107 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server closed", http.StatusServiceUnavailable)
 		return
 	}
-	var req TxRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	st := getReqState()
+	defer putReqState(st)
+	var err error
+	if st.body, err = readBody(r.Body, r.ContentLength, st.body); err != nil {
+		if errors.Is(err, errBodyTooLarge) {
+			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, "bad request: reading the body: "+err.Error(), http.StatusBadRequest)
+		}
+		return
+	}
+	if st.cmds, err = decodeTxRequest(st.body, st.cmds); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(req.Cmds) == 0 {
+	if len(st.cmds) == 0 {
 		http.Error(w, "empty command batch", http.StatusBadRequest)
 		return
 	}
-	for _, c := range req.Cmds {
-		switch c.Op {
-		case "get", "put", "incr", "delete":
-		default:
-			http.Error(w, fmt.Sprintf("unknown op %q", c.Op), http.StatusBadRequest)
-			return
-		}
-	}
-	if !s.admit(int64(len(req.Cmds))) {
+	if !s.admit(int64(len(st.cmds))) {
 		s.reject.Add(1)
 		http.Error(w, "rate limited", http.StatusTooManyRequests)
 		return
 	}
-
-	// Group commands by partition, preserving request order per slot.
-	results := make([]CmdResult, len(req.Cmds))
-	groups := make(map[int]*pending)
-	for i, c := range req.Cmds {
-		part := s.store.PartitionOf(c.Key)
-		g := groups[part]
-		if g == nil {
-			g = &pending{done: make(chan error, 1)}
-			groups[part] = g
+	st.res = slices.Grow(st.res[:0], len(st.cmds))[:len(st.cmds)]
+	st.parts = st.parts[:0]
+	for _, c := range st.cmds {
+		if part := s.store.PartitionOf(c.Key); !slices.Contains(st.parts, part) {
+			st.parts = append(st.parts, part)
 		}
-		g.cmds = append(g.cmds, c)
-		g.idx = append(g.idx, i)
 	}
 
 	// A batch that spans partitions is one transaction to the client, so
-	// it commits through the scoped cross-partition path: only the
-	// partitions the commands touch are locked, traffic on the rest is
-	// unaffected, and on a durable server the decision record makes the
-	// whole batch recover all-or-nothing.
-	if len(groups) > 1 {
-		for _, g := range groups {
-			g.res = make([]CmdResult, len(g.cmds))
+	// it commits through the scoped cross-partition path; one that stays
+	// inside a partition goes through that partition's applier.
+	if len(st.parts) > 1 {
+		err = s.crossTx(st)
+	} else {
+		err = s.partTx(st, st.parts[0])
+	}
+	if err != nil {
+		status := http.StatusServiceUnavailable
+		var de *store.DurabilityError
+		if errors.As(err, &de) {
+			// Applied in memory, not durable: the server's log is poisoned
+			// and this commit cannot be acknowledged.
+			status = http.StatusInternalServerError
 		}
-		s.handleCrossTx(w, groups, results)
+		http.Error(w, err.Error(), status)
 		return
 	}
-
-	// Enqueue each group onto its partition's queue. The stop flag is
-	// checked inside the same transaction, so an enqueue can never
-	// commit after the applier's final drain (both orders of the two
-	// commits are handled: flag-first rejects here, enqueue-first is
-	// caught by the drain).
-	for part, g := range groups {
-		g.res = make([]CmdResult, len(g.cmds))
-		var closed bool
-		_ = s.store.Engine(part).Atomically(func(tx *stm.Tx) error {
-			closed = stm.Get(tx, s.stopped[part])
-			if !closed {
-				s.queues[part].Put(tx, g)
-			}
-			return nil
-		})
-		if closed {
-			http.Error(w, "server closed", http.StatusServiceUnavailable)
-			return
-		}
-	}
-	for _, g := range groups {
-		if err := <-g.done; err != nil {
-			var de *store.DurabilityError
-			if errors.As(err, &de) {
-				// Applied in memory, not durable: the server's log is
-				// poisoned and this commit cannot be acknowledged.
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		for j, i := range g.idx {
-			results[i] = g.res[j]
-		}
-	}
-	writeJSON(w, TxResponse{Results: results})
+	st.out = AppendTxResponse(st.out[:0], st.res)
+	writeReply(w, st.out)
 }
 
-// handleCrossTx applies a multi-partition command batch atomically via
-// store.Cross. The body re-executes (discovery run, then the locked
-// run, possibly again if the footprint grows), so the response slots
-// are rewritten from scratch every run — only the committed run's
-// values survive.
-func (s *Server) handleCrossTx(w http.ResponseWriter, groups map[int]*pending, results []CmdResult) {
-	err := s.store.Cross(func(ct *store.CrossTx[int64, int64]) error {
-		for _, g := range groups {
-			applyCmds(ct, g.cmds, g.res)
+// partTx hands a single-partition batch to its partition's applier and
+// waits for the outcome. The stop flag is checked inside the enqueue
+// transaction, so an enqueue can never commit after the applier's final
+// drain (both orders of the two commits are handled: flag-first rejects
+// here, enqueue-first is caught by the drain) — which is also why a
+// pending that was enqueued is always answered on done.
+func (s *Server) partTx(st *reqState, part int) error {
+	p := &st.pend
+	p.cmds, p.res = st.cmds, st.res
+	var closed bool
+	_ = s.store.Engine(part).Atomically(func(tx *stm.Tx) error {
+		closed = stm.Get(tx, s.stopped[part])
+		if !closed {
+			s.queues[part].Put(tx, p)
 		}
 		return nil
 	})
-	if err != nil {
-		var de *store.DurabilityError
-		if errors.As(err, &de) {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
+	if closed {
+		return ErrClosed
 	}
-	s.crosses.Add(1)
-	for _, g := range groups {
-		s.cmds.Add(uint64(len(g.cmds)))
-		for j, i := range g.idx {
-			results[i] = g.res[j]
-		}
+	return <-p.done
+}
+
+// crossTx applies a multi-partition batch atomically via store.CrossOn,
+// on the handler's goroutine. The batch's keys name its partitions, so
+// the footprint is declared and the body runs once: only those
+// partitions lock, traffic on the rest is unaffected, and on a durable
+// server the decision record makes the whole batch recover
+// all-or-nothing. (The body is still written to tolerate re-execution,
+// as every cross body must be: each run rewrites all the response
+// slots.)
+func (s *Server) crossTx(st *reqState) error {
+	s.crossGate.RLock()
+	defer s.crossGate.RUnlock()
+	if s.closed.Load() {
+		return ErrClosed
 	}
-	writeJSON(w, TxResponse{Results: results})
+	err := s.store.CrossOn(st.parts, func(ct *store.CrossTx[int64, int64]) error {
+		applyCmds(ct, st.cmds, st.res, st.add)
+		return nil
+	})
+	if err == nil {
+		s.crosses.Add(1)
+		s.cmds.Add(uint64(len(st.cmds)))
+	}
+	return err
 }
 
 // admit spends n tokens from the admission bucket (one transaction on
@@ -675,12 +785,12 @@ func (s *Server) admit(n int64) bool {
 	return ok
 }
 
-func (s *Server) handleKV(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleKV(w http.ResponseWriter, rawKey string) {
 	if s.closed.Load() {
 		http.Error(w, "server closed", http.StatusServiceUnavailable)
 		return
 	}
-	key, err := strconv.ParseInt(r.PathValue("key"), 10, 64)
+	key, err := strconv.ParseInt(rawKey, 10, 64)
 	if err != nil {
 		http.Error(w, "bad key: "+err.Error(), http.StatusBadRequest)
 		return
@@ -691,11 +801,10 @@ func (s *Server) handleKV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, ok := s.store.Get(key)
-	writeJSON(w, KVResponse{Value: v, Found: ok})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.StatsSnapshot())
+	st := getReqState()
+	st.out = AppendKVResponse(st.out[:0], v, ok)
+	writeReply(w, st.out)
+	putReqState(st)
 }
 
 // StatsSnapshot returns the server's counters.
@@ -722,14 +831,9 @@ func (s *Server) StatsSnapshot() Stats {
 	return st
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // Close stops accepting requests, wakes every applier, fails whatever
-// was still queued with ErrClosed, waits for the appliers to exit, and
-// on a durable server flushes and seals the WAL's tail segment — the
+// was still queued with ErrClosed, waits for the appliers to exit and
+// for cross batches in flight to commit, and on a durable server flushes and seals the WAL's tail segment — the
 // graceful-shutdown path recovery recognizes as clean. The returned
 // error is the seal's (nil for a non-durable server). Safe to call more
 // than once.
@@ -748,5 +852,7 @@ func (s *Server) Close() error {
 		close(s.drainStop)
 	}
 	s.wg.Wait()
+	s.crossGate.Lock() // waits out the cross batches in flight; later ones see closed
+	s.crossGate.Unlock()
 	return s.store.CloseWAL()
 }

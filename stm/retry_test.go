@@ -50,6 +50,44 @@ func TestRetryBlocksUntilCondition(t *testing.T) {
 	}
 }
 
+// TestWaitsCountedApartFromRetries: an attempt that parks in Retry is a
+// wait, not a conflict retry. One consumer parks on an empty slot and one
+// producer, started only after the consumer's first attempt has run,
+// fills it: nothing conflicts, so on every engine the counters must read
+// exactly one wait and no retries.
+func TestWaitsCountedApartFromRetries(t *testing.T) {
+	for _, kind := range EngineKinds() {
+		e := NewEngine(kind)
+		slot := NewTVar[int](0)
+		sawEmpty := make(chan struct{})
+		var once sync.Once
+		got := make(chan int, 1)
+		go func() {
+			var v int
+			_ = e.Atomically(func(tx *Tx) error {
+				v = Get(tx, slot)
+				if v == 0 {
+					once.Do(func() { close(sawEmpty) })
+					Retry(tx)
+				}
+				return nil
+			})
+			got <- v
+		}()
+		<-sawEmpty
+		_ = e.Atomically(func(tx *Tx) error {
+			Set(tx, slot, 42)
+			return nil
+		})
+		if v := <-got; v != 42 {
+			t.Fatalf("%v: consumer read %d, want 42", kind, v)
+		}
+		if st := e.Stats(); st.Waits != 1 || st.Retries != 0 || st.Commits != 2 {
+			t.Errorf("%v: waits=%d retries=%d commits=%d, want 1/0/2", kind, st.Waits, st.Retries, st.Commits)
+		}
+	}
+}
+
 // TestRetryProducerConsumerPipeline: a bounded queue built from TVars,
 // with blocking put (queue full) and take (queue empty), under real
 // concurrency on every engine.

@@ -158,8 +158,13 @@ type Stats struct {
 	Commits uint64
 	// Aborts is the number of user-error aborts.
 	Aborts uint64
-	// Retries is the number of internal conflict retries.
+	// Retries is the number of attempts a conflict unwound and re-ran:
+	// contention, and nothing else.
 	Retries uint64
+	// Waits is the number of attempts that parked in Retry until another
+	// commit woke them — a consumer idling on an empty queue, not a
+	// conflict.
+	Waits uint64
 	// LockFails is the number of failed lock acquisitions (2PL
 	// encounter-time try-locks, TL2 commit-time versioned locks) — the
 	// raw contention signal the adaptive engine switches on. Zero for
@@ -182,6 +187,7 @@ type Engine struct {
 	commits stripedCounter
 	aborts  stripedCounter
 	retries stripedCounter
+	waits   stripedCounter
 }
 
 // newEngineShell wires the engine-independent parts (counters, notifier,
@@ -192,6 +198,7 @@ func newEngineShell(kind EngineKind, impl engine, opts ...Option) *Engine {
 	e.commits = newStripedCounter()
 	e.aborts = newStripedCounter()
 	e.retries = newStripedCounter()
+	e.waits = newStripedCounter()
 	e.notif.init()
 	for _, opt := range opts {
 		opt(e)
@@ -220,6 +227,7 @@ func (e *Engine) Stats() Stats {
 		Commits: e.commits.sum(),
 		Aborts:  e.aborts.sum(),
 		Retries: e.retries.sum(),
+		Waits:   e.waits.sum(),
 	}
 	if c, ok := e.impl.(lockFailCounter); ok {
 		st.LockFails = c.lockFailCount()
@@ -474,9 +482,13 @@ func (e *Engine) AtomicallyAs(proc int, fn func(*Tx) error) error {
 	}
 	hint := poolHint(unsafe.Pointer(tx))
 	for attempt := 0; ; attempt++ {
-		err, retry := e.once(tx, fn, attempt, proc)
-		if retry {
+		err, again := e.once(tx, fn, attempt, proc)
+		switch again {
+		case conflicted:
 			e.retries.add(hint, 1)
+			continue
+		case woken:
+			e.waits.add(hint, 1)
 			continue
 		}
 		tx.st, tx.rec = nil, nil
@@ -490,16 +502,25 @@ func (e *Engine) AtomicallyAs(proc int, fn func(*Tx) error) error {
 	}
 }
 
-// once runs a single attempt; retry=true means a conflict (or an explicit
-// Retry) unwound it. Recording hooks bracket the attempt: the begin stamp
-// is taken before the engine snapshots or locks anything, the end stamp
+// rerun says why an attempt has to run again, if it has to.
+type rerun uint8
+
+const (
+	finished   rerun = iota // committed, or aborted with the user's error
+	conflicted              // unwound by a conflict
+	woken                   // parked in Retry, then woken by a commit
+)
+
+// once runs a single attempt and reports whether a conflict or an
+// explicit Retry unwound it. Recording hooks bracket the attempt: the
+// begin stamp is taken before the engine snapshots or locks anything, the end stamp
 // after a successful commit has published (or after cleanup rolled back),
 // so stamped real-time precedence is always genuine (see record.go).
 // Every terminal path hands the attempt state back to the engine's pool
 // via engine.done — after cleanup has released what the state held, and
 // after the last read of it (wrote) — except a user panic, which drops
 // the state rather than risk pooling mid-unwind.
-func (e *Engine) once(tx *Tx, fn func(*Tx) error, attempt, proc int) (err error, retry bool) {
+func (e *Engine) once(tx *Tx, fn func(*Tx) error, attempt, proc int) (err error, again rerun) {
 	seq0 := e.notif.snapshot()
 	var ar *AttemptRecord
 	if e.rec != nil {
@@ -515,7 +536,7 @@ func (e *Engine) once(tx *Tx, fn func(*Tx) error, attempt, proc int) (err error,
 				ar.finish(AttemptConflicted)
 				e.impl.done(tx.st)
 				tx.st = nil
-				err, retry = nil, true
+				err, again = nil, conflicted
 			case retrySignal:
 				// Drop everything, then sleep until shared state moves.
 				if rc, ok := tx.st.(retryCleaner); ok {
@@ -527,7 +548,7 @@ func (e *Engine) once(tx *Tx, fn func(*Tx) error, attempt, proc int) (err error,
 				e.impl.done(tx.st)
 				tx.st = nil
 				e.notif.waitChange(seq0)
-				err, retry = nil, true
+				err, again = nil, woken
 			default:
 				tx.st.abortCleanup()
 				ar.finish(AttemptAborted)
@@ -542,13 +563,13 @@ func (e *Engine) once(tx *Tx, fn func(*Tx) error, attempt, proc int) (err error,
 		ar.finish(AttemptAborted)
 		e.impl.done(tx.st)
 		tx.st = nil
-		return ferr, false
+		return ferr, finished
 	}
 	if !tx.st.commit() {
 		ar.finish(AttemptConflicted)
 		e.impl.done(tx.st)
 		tx.st = nil
-		return nil, true
+		return nil, conflicted
 	}
 	ar.finish(AttemptCommitted)
 	wrote := tx.st.wrote()
@@ -557,5 +578,5 @@ func (e *Engine) once(tx *Tx, fn func(*Tx) error, attempt, proc int) (err error,
 	if wrote {
 		e.notif.bump()
 	}
-	return nil, false
+	return nil, finished
 }

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -188,15 +189,18 @@ func TestUpdateOnBothPaths(t *testing.T) {
 	}
 }
 
-// TestCrossSweepEquivalent checks the retained full-sweep path and the
-// scoped path agree on results.
+// TestCrossSweepEquivalent checks the scoped path, the full sweep and a
+// CrossOn that declares every partition agree on results — the sweep is
+// that CrossOn — and that under the sweep the body runs exactly once.
 func TestCrossSweepEquivalent(t *testing.T) {
 	s := store.New[int64, int64](store.Config{Partitions: 4})
 	for k := int64(0); k < 32; k++ {
 		s.Put(k, 100)
 	}
-	xfer := func(run func(fn func(ct *store.CrossTx[int64, int64]) error) error, from, to int64) {
+	type crossFn = func(fn func(ct *store.CrossTx[int64, int64]) error) error
+	xfer := func(run crossFn, from, to int64) (runs int) {
 		if err := run(func(ct *store.CrossTx[int64, int64]) error {
+			runs++
 			a, _ := ct.Get(from)
 			b, _ := ct.Get(to)
 			ct.Put(from, a-7)
@@ -205,14 +209,250 @@ func TestCrossSweepEquivalent(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("transfer: %v", err)
 		}
+		return runs
+	}
+	onAll := func(fn func(ct *store.CrossTx[int64, int64]) error) error {
+		return s.CrossOn([]int{3, 1, 0, 2}, fn)
 	}
 	for i := int64(0); i < 16; i++ {
 		xfer(s.Cross, i, 31-i)
-		xfer(s.CrossSweep, 31-i, i)
+		if runs := xfer(s.CrossSweep, 31-i, i); runs != 1 {
+			t.Fatalf("CrossSweep ran the body %d times, want 1", runs)
+		}
+		xfer(onAll, i, 31-i)
+		if runs := xfer(onAll, 31-i, i); runs != 1 {
+			t.Fatalf("CrossOn(all) ran the body %d times, want 1", runs)
+		}
 	}
 	for k := int64(0); k < 32; k++ {
 		if v, _ := s.Get(k); v != 100 {
 			t.Errorf("key %d drifted to %d", k, v)
+		}
+	}
+}
+
+// TestCrossOnDeclared pins the declared footprint: a body that stays
+// inside what was declared executes exactly once, under locks on the
+// declared partitions and no others; a body that strays re-runs under
+// the grown footprint, exactly as an undeclared one does; and a failing
+// body changes nothing and leaves nothing locked.
+func TestCrossOnDeclared(t *testing.T) {
+	s := store.New[int64, int64](store.Config{Partitions: 4})
+	k0, k1, k2, k3 := mustKeyIn(s, 0, 1), mustKeyIn(s, 1, 1), mustKeyIn(s, 2, 1), mustKeyIn(s, 3, 1)
+
+	t.Run("sufficient footprint runs once under scoped locks", func(t *testing.T) {
+		inBody, release := make(chan struct{}), make(chan struct{})
+		runs := 0
+		done := make(chan error, 1)
+		go func() {
+			// Partition 2 is declared and never touched: over-declaring only
+			// locks more, it does not cost a run.
+			done <- s.CrossOn([]int{1, 0, 2}, func(ct *store.CrossTx[int64, int64]) error {
+				runs++
+				ct.Put(k0, 10)
+				v, _ := ct.Get(k1)
+				ct.Put(k1, v+20)
+				close(inBody)
+				<-release
+				return nil
+			})
+		}()
+		<-inBody
+
+		// The undeclared partition stays writable while the body holds its
+		// locks; a declared one does not.
+		s.Put(k3, 33)
+		blocked := make(chan struct{})
+		go func() {
+			s.Put(k2, 22)
+			close(blocked)
+		}()
+		select {
+		case <-blocked:
+			t.Fatal("a write to a declared partition went through while the cross held it")
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(release)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		<-blocked
+		if runs != 1 {
+			t.Errorf("body ran %d times, want exactly 1", runs)
+		}
+		for k, want := range map[int64]int64{k0: 10, k1: 20, k2: 22, k3: 33} {
+			if v, _ := s.Get(k); v != want {
+				t.Errorf("key %d = %d, want %d", k, v, want)
+			}
+		}
+	})
+
+	t.Run("straying re-runs and grows", func(t *testing.T) {
+		runs := 0
+		err := s.CrossOn([]int{0}, func(ct *store.CrossTx[int64, int64]) error {
+			runs++
+			a, _ := ct.Get(k0)
+			b, _ := ct.Get(k3) // undeclared
+			ct.Put(k0, a-1)
+			ct.Put(k3, b+1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs != 2 {
+			t.Errorf("body ran %d times, want 2: once straying, once covered", runs)
+		}
+		if a, _ := s.Get(k0); a != 9 {
+			t.Errorf("k0 = %d, want 9", a)
+		}
+		if b, _ := s.Get(k3); b != 34 {
+			t.Errorf("k3 = %d, want 34", b)
+		}
+	})
+
+	t.Run("undeclared is declared-nothing", func(t *testing.T) {
+		var runsCross, runsOn int
+		body := func(runs *int) func(ct *store.CrossTx[int64, int64]) error {
+			return func(ct *store.CrossTx[int64, int64]) error {
+				*runs++
+				ct.Put(k1, 1)
+				ct.Put(k2, 2)
+				return nil
+			}
+		}
+		if err := s.Cross(body(&runsCross)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CrossOn(nil, body(&runsOn)); err != nil {
+			t.Fatal(err)
+		}
+		if runsCross != 2 || runsOn != 2 {
+			t.Errorf("Cross ran the body %d times, CrossOn(nil) %d; want 2 and 2 (discovery, then the locked run)", runsCross, runsOn)
+		}
+	})
+
+	t.Run("failing body changes nothing and unlocks", func(t *testing.T) {
+		boom := errors.New("boom")
+		err := s.CrossOn([]int{0, 1}, func(ct *store.CrossTx[int64, int64]) error {
+			ct.Put(k0, -1)
+			ct.Delete(k1)
+			return boom
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("error %v, want boom", err)
+		}
+		if a, _ := s.Get(k0); a != 9 {
+			t.Errorf("k0 = %d after a failed cross, want 9", a)
+		}
+		if _, ok := s.Get(k1); !ok {
+			t.Error("k1 deleted by a failed cross")
+		}
+		s.Put(k0, 9) // would hang were partition 0 still locked
+	})
+}
+
+// TestCrossLargeWriteSet buffers more keys than a recycled handle keeps
+// (so the buffer and its index are dropped afterwards): overwrites,
+// deletes and reads of the body's own writes must match a plain map
+// through a discovery run and the re-run, and the next transaction on
+// the recycled handle must see none of it.
+func TestCrossLargeWriteSet(t *testing.T) {
+	const keys = 1500
+	s := store.New[int64, int64](store.Config{Partitions: 4})
+	for k := int64(0); k < keys; k += 3 {
+		s.Put(k, -k)
+	}
+	model := make(map[int64]int64)
+	for k := int64(0); k < keys; k += 3 {
+		model[k] = -k
+	}
+	apply := func(get func(int64) (int64, bool), put func(k, v int64), del func(int64) bool) {
+		for round := int64(0); round < 3; round++ {
+			for k := int64(0); k < keys; k++ {
+				switch v, ok := get(k); {
+				case (k+round)%5 == 0:
+					if del(k) != ok {
+						t.Errorf("round %d: Delete(%d) disagrees with Get's presence %v", round, k, ok)
+					}
+				case ok:
+					put(k, v+round+1)
+				default:
+					put(k, k)
+				}
+			}
+		}
+	}
+	apply(func(k int64) (int64, bool) { v, ok := model[k]; return v, ok },
+		func(k, v int64) { model[k] = v },
+		func(k int64) bool { _, ok := model[k]; delete(model, k); return ok })
+	if err := s.Cross(func(ct *store.CrossTx[int64, int64]) error {
+		apply(ct.Get, ct.Put, ct.Delete)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Len(); got != len(model) {
+		t.Errorf("store holds %d keys, model %d", got, len(model))
+	}
+	for k, want := range model {
+		if v, ok := s.Get(k); !ok || v != want {
+			t.Errorf("key %d = %d,%v; model says %d", k, v, ok, want)
+		}
+	}
+	// A deleted key stays deleted for the next transaction: nothing of
+	// the big buffer survives in the handle it recycled.
+	if err := s.Cross(func(ct *store.CrossTx[int64, int64]) error {
+		if v, ok := ct.Get(3); ok { // deleted in the last round
+			t.Errorf("key 3 = %d in the next cross, want it deleted", v)
+		}
+		ct.Put(1, 7)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := s.Get(1); v != 7 {
+		t.Errorf("key 1 = %d after the follow-up cross, want 7", v)
+	}
+}
+
+// TestCrossAllocBudget is the cross path's allocation gate: on a durable
+// store, a two-partition transfer — lock, run, apply per partition, log
+// two records and a decision, wait for the acknowledgement — allocates
+// only the log's queue array in steady state (the writer takes it whole
+// with every batch, so three enqueued records regrow it in 3 steps),
+// whether the footprint is declared or discovered: the handle, its
+// buffers, the log's requests and its bookkeeping are all recycled. The
+// budget is fixed: a fresh map for the write buffer or the by-partition
+// grouping costs 2 allocations or more, per-call lock closures 2, a
+// participant-list copy in the log 1.
+func TestCrossAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s, _, err := store.OpenDurable(durCfg(wal.NewMemBackend(), 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.CloseWAL()
+	from, to := mustKeyIn(s, 1, 1), mustKeyIn(s, 3, 1)
+	parts := []int{1, 3}
+	transfer := func(ct *store.CrossTx[int64, int64]) error {
+		a, _ := ct.Get(from)
+		ct.Put(from, a-1)
+		b, _ := ct.Get(to)
+		ct.Put(to, b+1)
+		return nil
+	}
+	for name, run := range map[string]func(){
+		"declared":   func() { _ = s.CrossOn(parts, transfer) },
+		"discovered": func() { _ = s.Cross(transfer) },
+	} {
+		for i := 0; i < 64; i++ {
+			run()
+		}
+		if got := testing.AllocsPerRun(500, run); got > 3 {
+			t.Errorf("%s footprint: %.1f allocs/op, budget 3", name, got)
 		}
 	}
 }

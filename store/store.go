@@ -13,19 +13,25 @@
 // This is the store-level reading of the PCL trade-off: parallelism is
 // bought by partitioning the keyspace, and the price is that
 // cross-partition atomicity needs an escalation protocol. The seam for
-// that protocol is Cross (cross.go): a buffered read/compute phase
-// followed by an apply phase under an ordered exclusive sweep of every
-// partition lock — the degenerate, single-node shape of two-phase
-// commit, with the partition locks standing in for participant votes.
+// that protocol is CrossOn (cross.go): the transaction's footprint —
+// the partitions it touches — is locked exclusive in partition order,
+// the body runs against the locked partitions with its writes buffered,
+// and the buffer applies under the locks: the single-node shape of
+// two-phase commit, with the partition locks standing in for participant
+// votes. The footprint is either declared by a caller that knows its
+// keys (CrossOn: the body runs once) or discovered by a first run under
+// no locks (Cross: the body runs at least twice); a body that strays
+// outside what is locked re-runs under the grown footprint either way.
 // Single-partition operations hold their partition's read lock only, so
-// they never coordinate with each other; they coordinate with Cross
-// exactly when a cross-partition transaction is in flight.
+// they never coordinate with each other; they coordinate with a cross
+// transaction exactly when one is in flight on their partition.
 package store
 
 import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 
 	"pcltm/stm"
 	"pcltm/tstructs"
@@ -66,6 +72,9 @@ type Store[K comparable, V any] struct {
 	hash    func(K) uint64
 	shift   uint                // 64 - log2(len(parts)), for fibIndex-style routing
 	durable *durableState[K, V] // nil unless built by OpenDurable
+
+	// crossPool recycles CrossTx handles and their buffers (cross.go).
+	crossPool sync.Pool
 
 	// dropCrossPart, when >= 0, plants the half-applied-cross bug for
 	// the conformance stitching checker's self-test; see
