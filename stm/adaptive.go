@@ -3,7 +3,6 @@ package stm
 import (
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 func init() {
@@ -180,29 +179,48 @@ func (p *regimePolicy) decide(cur int, m windowMetrics) int {
 	return cur
 }
 
-// regimeTotals is one delegate's cumulative share of the engine's work.
-// commits and conflicts are striped (bumped on every finish); lockFails
-// and windows are charged at window close under the engine mutex.
+// slotRecord is one slot's share of the window accounting: every
+// counter an attempt bumps, together, on cache lines no other slot's
+// record touches (counter.go). All fields are cumulative; inflight is
+// begun minus finished, and a begin and its finish always land on the
+// same record, so the sum over records is the epoch's in-flight count.
+type slotRecord struct {
+	inflight, attempts, loads, stores atomic.Uint64
+	// commits and conflicts are split by the regime that was active when
+	// the attempt began.
+	commits, conflicts [regimeCount]atomic.Uint64
+	// Pad to two full lines; a slice of records is one power-of-two-
+	// sized allocation, which Go's allocator aligns to its size.
+	_ [2*cacheLine - (4+2*regimeCount)*8]byte
+}
+
+// regimeTotals is the part of one delegate's share of the engine's work
+// that is charged at window close, under the engine mutex; its commits
+// and conflicts live in the slot records.
 type regimeTotals struct {
-	commits, conflicts stripedCounter
 	lockFails, windows uint64
 }
 
 // The window accounting is the adaptive engine's own hot path: every
 // begin and finish used to take the engine mutex, which made the engine
 // that exists to exploit disjoint-access parallelism serialize all its
-// attempts on one lock. Begin and finish now touch only striped per-core
-// counters (counter.go):
+// attempts on one lock. Begin and finish now touch only the attempt's
+// own slot record:
 //
-//   - begin increments the striped inflight count, then re-checks for a
-//     pending switch; the increment-before-check pairs with the switch
+//   - begin increments its record's inflight count, then re-checks for
+//     a pending switch; the increment-before-check pairs with the switch
 //     committer's decide-then-sum (both seq-cst), so either the beginner
 //     sees the pending switch and backs out, or the drain sees the
 //     beginner and waits — the epoch invariant survives without a lock.
-//   - finish bumps cumulative striped counters (attempts, loads, stores,
-//     per-regime commits/conflicts) and decrements inflight. Window
-//     metrics are deltas of those sums against bases snapped at the last
-//     close, so no per-attempt mutable window struct exists at all.
+//   - finish bumps its record's cumulative counters (attempts, loads,
+//     stores, per-regime commits/conflicts) and decrements inflight.
+//     Window metrics are deltas of the sums over records against bases
+//     snapped at the last close, so no per-attempt mutable window
+//     struct exists at all. Every `every` attempts of its own record
+//     (window / records), finish sums the attempts over all records to
+//     see whether the window is full: a window closes at most a few
+//     checks past its boundary however the attempts spread over slots,
+//     and no attempt scans the other records on the way.
 //
 // The mutex remains on the cold paths only: committing a switch,
 // closing a window (once per `window` attempts, elected by a CAS so the
@@ -216,16 +234,16 @@ type adaptiveEngine struct {
 
 	delegates [regimeCount]engine
 	// cur is the active regime; target != cur means a switch is decided
-	// and draining. inflight counts attempts begun in the current epoch
-	// and not yet finished.
+	// and draining.
 	cur, target atomic.Int32
-	inflight    stripedCounter
 
-	// Cumulative hot-path counters; window metrics are deltas against
-	// the base* fields, which are rewritten under mu at window close.
-	attempts      stripedCounter
-	loads, stores stripedCounter
-	regimes       [regimeCount]regimeTotals
+	// slots holds the hot-path counters, one record per slot (mask+1 of
+	// them); finish checks the window boundary every `every` attempts of
+	// its own record.
+	slots   []slotRecord
+	mask    int
+	every   uint64
+	regimes [regimeCount]regimeTotals
 
 	// baseAttempts is read racily by finish for the boundary check, so
 	// it is atomic; the remaining bases are only touched under mu.
@@ -241,18 +259,55 @@ type adaptiveEngine struct {
 }
 
 func newAdaptiveEngine() *adaptiveEngine {
-	a := &adaptiveEngine{policy: defaultPolicy()}
+	n := StripeCount()
+	a := &adaptiveEngine{policy: defaultPolicy(), slots: make([]slotRecord, n), mask: n - 1}
+	a.every = max(1, a.policy.window/uint64(n))
 	a.cond = sync.NewCond(&a.mu)
-	a.inflight = newStripedCounter()
-	a.attempts = newStripedCounter()
-	a.loads = newStripedCounter()
-	a.stores = newStripedCounter()
 	for r, kind := range regimeKinds {
 		a.delegates[r] = engineTable[kind].make()
-		a.regimes[r].commits = newStripedCounter()
-		a.regimes[r].conflicts = newStripedCounter()
 	}
 	return a
+}
+
+// inflight and attempts sum one counter over the slot records (mod
+// 2^64) for the drain and the window-boundary check.
+func (a *adaptiveEngine) inflight() uint64 {
+	var n uint64
+	for i := range a.slots {
+		n += a.slots[i].inflight.Load()
+	}
+	return n
+}
+
+func (a *adaptiveEngine) attempts() uint64 {
+	var n uint64
+	for i := range a.slots {
+		n += a.slots[i].attempts.Load()
+	}
+	return n
+}
+
+// slotTotals is the sum of the slot records' cumulative counters.
+type slotTotals struct {
+	attempts, loads, stores uint64
+	commits, conflicts      [regimeCount]uint64
+}
+
+// totals sums every slot record, for the cold paths (window close,
+// switch, stats).
+func (a *adaptiveEngine) totals() slotTotals {
+	var t slotTotals
+	for i := range a.slots {
+		s := &a.slots[i]
+		t.attempts += s.attempts.Load()
+		t.loads += s.loads.Load()
+		t.stores += s.stores.Load()
+		for r := range t.commits {
+			t.commits[r] += s.commits[r].Load()
+			t.conflicts[r] += s.conflicts[r].Load()
+		}
+	}
+	return t
 }
 
 // lockFailsOf reads a delegate's cumulative failed acquisitions (0 for
@@ -274,20 +329,20 @@ func (a *adaptiveEngine) lockFailCount() uint64 {
 }
 
 // begin enters the current epoch. The fast path is lock-free: announce
-// the attempt in the striped inflight count, then confirm no switch is
-// pending. If one is, back out and block until the last old-epoch
-// attempt finishes; the first begin to observe the drained engine
-// commits the switch.
-func (a *adaptiveEngine) begin(attempt int) txState {
+// the attempt in its slot record's inflight count, then confirm no
+// switch is pending. If one is, back out and block until the last
+// old-epoch attempt finishes; the first begin to observe the drained
+// engine commits the switch.
+func (a *adaptiveEngine) begin(attempt, slot int) txState {
 	tx, _ := a.pool.Get().(*adaptiveTx)
 	if tx == nil {
 		tx = &adaptiveTx{a: a}
 	}
-	hint := poolHint(unsafe.Pointer(tx))
+	rec := &a.slots[slot&a.mask]
 	for {
-		a.inflight.add(hint, 1)
+		rec.inflight.Add(1)
 		// Triple read: cur, target, cur again — proceed only if all
-		// three agree. Two reads are not enough: a drain whose stripe
+		// three agree. Two reads are not enough: a drain whose record
 		// scan raced (and missed) our increment can commit its switch at
 		// any later moment, and after a full window on the new delegate
 		// the policy may store a target pointing back at our stale cur,
@@ -303,13 +358,13 @@ func (a *adaptiveEngine) begin(attempt int) txState {
 			// No switch pending at a point after our announcement: a
 			// switch decided from here on must drain past our inflight
 			// increment, so running on delegates[cur] is epoch-safe.
-			tx.regime, tx.hint = int(cur), hint
+			tx.regime, tx.rec = int(cur), rec
 			// The delegate's begin may block (glock) or sleep (2PL
 			// backoff); it runs outside any engine lock.
-			tx.st = a.delegates[cur].begin(attempt)
+			tx.st = a.delegates[cur].begin(attempt, slot)
 			return tx
 		}
-		a.inflight.add(hint, ^uint64(0))
+		rec.inflight.Add(^uint64(0))
 		a.awaitSwitch()
 	}
 }
@@ -318,7 +373,7 @@ func (a *adaptiveEngine) begin(attempt int) txState {
 // the epoch is empty.
 func (a *adaptiveEngine) awaitSwitch() {
 	a.mu.Lock()
-	for a.target.Load() != a.cur.Load() && a.inflight.sum() > 0 {
+	for a.target.Load() != a.cur.Load() && a.inflight() > 0 {
 		a.cond.Wait()
 	}
 	if t := a.target.Load(); t != a.cur.Load() {
@@ -337,11 +392,10 @@ func (a *adaptiveEngine) awaitSwitch() {
 // resetWindowLocked discards the open window by re-basing every delta at
 // the counters' current sums. Called with mu held.
 func (a *adaptiveEngine) resetWindowLocked(r int) {
-	a.baseAttempts.Store(a.attempts.sum())
-	a.baseCommits = a.regimes[r].commits.sum()
-	a.baseConflicts = a.regimes[r].conflicts.sum()
-	a.baseLoads = a.loads.sum()
-	a.baseStores = a.stores.sum()
+	t := a.totals()
+	a.baseAttempts.Store(t.attempts)
+	a.baseCommits, a.baseConflicts = t.commits[r], t.conflicts[r]
+	a.baseLoads, a.baseStores = t.loads, t.stores
 	a.lockFailBase = a.lockFailsOf(r)
 }
 
@@ -356,32 +410,33 @@ const (
 	outcomeWait
 )
 
-// finish retires one attempt: cumulative striped bumps, the epoch exit,
-// and — when the window boundary is crossed with no switch pending — an
-// elected window close.
+// finish retires one attempt: cumulative bumps on its slot record, the
+// epoch exit, and — every `every` attempts of that record, when the
+// window boundary is crossed with no switch pending — an elected window
+// close.
 func (a *adaptiveEngine) finish(tx *adaptiveTx, outcome int) {
-	hint := tx.hint
+	rec := tx.rec
 	switch outcome {
 	case outcomeCommit:
-		a.regimes[tx.regime].commits.add(hint, 1)
+		rec.commits[tx.regime].Add(1)
 	case outcomeConflict:
-		a.regimes[tx.regime].conflicts.add(hint, 1)
+		rec.conflicts[tx.regime].Add(1)
 	}
-	a.loads.add(hint, tx.loads)
-	a.stores.add(hint, tx.stores)
-	a.attempts.add(hint, 1)
-	a.inflight.add(hint, ^uint64(0))
+	rec.loads.Add(tx.loads)
+	rec.stores.Add(tx.stores)
+	n := rec.attempts.Add(1)
+	rec.inflight.Add(^uint64(0))
 	if a.target.Load() != a.cur.Load() {
 		// A switch is draining; if this was the last in-flight attempt,
 		// wake the begins blocked on the epoch boundary.
 		a.mu.Lock()
-		if a.inflight.sum() == 0 {
+		if a.inflight() == 0 {
 			a.cond.Broadcast()
 		}
 		a.mu.Unlock()
 		return
 	}
-	if a.attempts.sum()-a.baseAttempts.Load() >= a.policy.window {
+	if n%a.every == 0 && a.attempts()-a.baseAttempts.Load() >= a.policy.window {
 		a.tryCloseWindow()
 	}
 }
@@ -395,7 +450,7 @@ func (a *adaptiveEngine) tryCloseWindow() {
 	}
 	a.mu.Lock()
 	if a.target.Load() == a.cur.Load() &&
-		a.attempts.sum()-a.baseAttempts.Load() >= a.policy.window {
+		a.attempts()-a.baseAttempts.Load() >= a.policy.window {
 		a.closeWindowLocked()
 	}
 	a.mu.Unlock()
@@ -407,24 +462,21 @@ func (a *adaptiveEngine) tryCloseWindow() {
 // policy for a move. Called with a.mu held and no switch pending.
 func (a *adaptiveEngine) closeWindowLocked() {
 	cur := int(a.cur.Load())
-	att := a.attempts.sum()
-	commits := a.regimes[cur].commits.sum()
-	conflicts := a.regimes[cur].conflicts.sum()
-	loads, stores := a.loads.sum(), a.stores.sum()
+	t := a.totals()
 	lf := a.lockFailsOf(cur)
 	m := windowMetrics{
-		attempts:  att - a.baseAttempts.Load(),
-		commits:   commits - a.baseCommits,
-		conflicts: conflicts - a.baseConflicts,
-		loads:     loads - a.baseLoads,
-		stores:    stores - a.baseStores,
+		attempts:  t.attempts - a.baseAttempts.Load(),
+		commits:   t.commits[cur] - a.baseCommits,
+		conflicts: t.conflicts[cur] - a.baseConflicts,
+		loads:     t.loads - a.baseLoads,
+		stores:    t.stores - a.baseStores,
 		lockFails: lf - a.lockFailBase,
 	}
 	a.regimes[cur].lockFails += m.lockFails
 	a.regimes[cur].windows++
-	a.baseAttempts.Store(att)
-	a.baseCommits, a.baseConflicts = commits, conflicts
-	a.baseLoads, a.baseStores = loads, stores
+	a.baseAttempts.Store(t.attempts)
+	a.baseCommits, a.baseConflicts = t.commits[cur], t.conflicts[cur]
+	a.baseLoads, a.baseStores = t.loads, t.stores
 	a.lockFailBase = lf
 	if next := a.policy.decide(cur, m); next != cur {
 		// Decided, not committed: the switch takes effect at the first
@@ -442,12 +494,13 @@ func (a *adaptiveEngine) snapshotStats() AdaptiveStats {
 		Epoch:    a.epoch + 1,
 		Switches: a.switches,
 	}
+	t := a.totals()
 	for r := range a.regimes {
 		rt := &a.regimes[r]
 		out.Regimes = append(out.Regimes, RegimeStats{
 			Engine:    regimeKinds[r].String(),
-			Commits:   rt.commits.sum(),
-			Conflicts: rt.conflicts.sum(),
+			Commits:   t.commits[r],
+			Conflicts: t.conflicts[r],
 			LockFails: rt.lockFails,
 			Windows:   rt.windows,
 		})
@@ -470,7 +523,7 @@ type adaptiveTx struct {
 	a      *adaptiveEngine
 	st     txState
 	regime int
-	hint   uint64
+	rec    *slotRecord // the attempt's slot record, from begin
 	loads  uint64
 	stores uint64
 }

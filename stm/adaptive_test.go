@@ -157,8 +157,8 @@ func TestAdaptiveRetryNotCountedAsConflict(t *testing.T) {
 	_ = e.Atomically(func(tx *Tx) error { Set(tx, flag, true); return nil })
 	<-done
 	var conflicts uint64
-	for r := range a.regimes {
-		conflicts += a.regimes[r].conflicts.sum()
+	for _, n := range a.totals().conflicts {
+		conflicts += n
 	}
 	if conflicts != 0 {
 		t.Fatalf("Retry waits were counted as %d conflicts", conflicts)
@@ -171,7 +171,7 @@ func TestAdaptiveRetryNotCountedAsConflict(t *testing.T) {
 // delegate swap) only when the engine is idle — never mid-epoch.
 func TestAdaptiveEpochDrainBlocksSwitch(t *testing.T) {
 	a := newAdaptiveEngine()
-	tx1 := a.begin(0).(*adaptiveTx)
+	tx1 := a.begin(0, 0).(*adaptiveTx)
 	if tx1.regime != regimeLow {
 		t.Fatalf("fresh engine began on regime %d, want %d", tx1.regime, regimeLow)
 	}
@@ -183,7 +183,7 @@ func TestAdaptiveEpochDrainBlocksSwitch(t *testing.T) {
 	a.mu.Unlock()
 
 	began := make(chan *adaptiveTx)
-	go func() { began <- a.begin(0).(*adaptiveTx) }()
+	go func() { began <- a.begin(0, a.mask).(*adaptiveTx) }()
 
 	select {
 	case <-began:
@@ -218,6 +218,44 @@ func TestAdaptiveEpochDrainBlocksSwitch(t *testing.T) {
 	}
 	a.mu.Unlock()
 	tx2.commit()
+}
+
+// TestAdaptiveWindowCadence: finish checks the window boundary only
+// every window/slots attempts of its own slot record, so it must still
+// close a window about every `window` attempts — when every attempt
+// comes from one slot (that slot's checks are the only ones) and when
+// attempts spread over every slot (each slot's count reaches a check
+// long before the window is full). The engine gets eight slots whatever
+// the box, so the spread case is never the one-slot case in disguise.
+func TestAdaptiveWindowCadence(t *testing.T) {
+	const slots, windows = 8, 20
+	for name, slotOf := range map[string]func(i int) int{
+		"one slot":  func(int) int { return 3 },
+		"all slots": func(i int) int { return i % slots },
+	} {
+		t.Run(name, func(t *testing.T) {
+			a := newAdaptiveEngine()
+			a.slots, a.mask = make([]slotRecord, slots), slots-1
+			a.every = a.policy.window / slots
+			n := int(a.policy.window) * windows
+			for i := 0; i < n; i++ {
+				tx := a.begin(0, slotOf(i))
+				if !tx.commit() {
+					t.Fatal("solo empty transaction failed to commit")
+				}
+				a.done(tx)
+				// A window closes only once it is full, and by the next
+				// check after: at most `window` attempts later.
+				closed := a.regimes[regimeLow].windows
+				if full := uint64(i+1) / a.policy.window; closed > full || closed+1 < full {
+					t.Fatalf("after %d attempts %d windows closed, want %d (or one fewer)", i+1, closed, full)
+				}
+			}
+			if got := a.regimes[regimeLow].windows; got != windows {
+				t.Errorf("%d attempts closed %d windows, want %d", n, got, windows)
+			}
+		})
+	}
 }
 
 // TestAdaptiveRegimeSwitchUnderContentionRamp is the end-to-end ramp:

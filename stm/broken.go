@@ -35,7 +35,7 @@ type brokenTx struct {
 	undo undoLog
 }
 
-func (e *brokenEngine) begin(attempt int) txState {
+func (e *brokenEngine) begin(int, int) txState {
 	e.mu.Lock()
 	return &brokenTx{eng: e}
 }
@@ -113,7 +113,7 @@ type leakyTx struct {
 	undo undoLog
 }
 
-func (e *leakyEngine) begin(attempt int) txState {
+func (e *leakyEngine) begin(int, int) txState {
 	e.poolMu.Lock()
 	var tx *leakyTx
 	if n := len(e.free); n > 0 {
@@ -195,7 +195,7 @@ type corruptTx struct {
 	undo undoLog
 }
 
-func (e *corruptEngine) begin(attempt int) txState {
+func (e *corruptEngine) begin(int, int) txState {
 	e.mu.Lock()
 	return &corruptTx{eng: e}
 }

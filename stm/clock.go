@@ -21,10 +21,10 @@ import "sync/atomic"
 type versionClock interface {
 	// snapshot returns the read timestamp rv for a starting transaction.
 	snapshot() uint64
-	// tick returns a fresh commit timestamp > rv. hint spreads
-	// concurrent committers across shards where the clock is striped;
-	// unsharded clocks ignore it.
-	tick(rv, hint uint64) uint64
+	// tick returns a fresh commit timestamp > rv. slot (the committing
+	// attempt's, see counter.go) spreads concurrent committers across
+	// shards where the clock is striped; unsharded clocks ignore it.
+	tick(rv uint64, slot int) uint64
 }
 
 // globalClock is the classic TL2 clock (GV1): one fetch-and-add word.
@@ -36,11 +36,7 @@ type globalClock struct {
 
 func (g *globalClock) snapshot() uint64 { return g.c.Load() }
 
-func (g *globalClock) tick(rv, _ uint64) uint64 { return g.c.Add(1) }
-
-// maxClockShards bounds the stripe count so snapshot scans stay short on
-// very wide machines.
-const maxClockShards = 64
+func (g *globalClock) tick(uint64, int) uint64 { return g.c.Add(1) }
 
 // stripedClock spreads the version clock over per-shard padded counters.
 // The logical clock value is the maximum over all shards:
@@ -48,8 +44,8 @@ const maxClockShards = 64
 //   - snapshot scans the shards and takes the max — read-only, so
 //     concurrent snapshots share the cache lines instead of fighting
 //     over one exclusively-owned word;
-//   - tick re-scans the shards for the current max, then CASes a single
-//     hint-selected shard to past max(global, rv) — every committer
+//   - tick re-scans the shards for the current max, then CASes the
+//     committing slot's shard to past max(global, rv) — every committer
 //     still *writes* only its own cache line, so disjoint commits no
 //     longer serialize on one exclusively-owned word the way a
 //     fetch-and-add clock makes them.
@@ -65,19 +61,19 @@ const maxClockShards = 64
 // snapshot extension (see tl2.go).
 type stripedClock struct {
 	shards []paddedUint64 // cache-line-padded, shared with counter.go
-	mask   uint64
+	mask   int
 }
 
 // newStripedClock sizes the stripe to the true parallelism available
-// when the engine is built (stripeCount in counter.go: next power of
-// two at or above min(GOMAXPROCS, NumCPU), capped at maxClockShards).
+// when the engine is built (StripeCount in counter.go: next power of
+// two at or above min(GOMAXPROCS, NumCPU), capped at maxStripes).
 // Striping only pays off when commits genuinely run in parallel, so a
 // 1-core box gets a 1-shard clock that degenerates gracefully into a
 // CAS-based global clock instead of a snapshot scan with nothing to
 // amortize it.
 func newStripedClock() *stripedClock {
-	n := stripeCount(maxClockShards)
-	return &stripedClock{shards: make([]paddedUint64, n), mask: uint64(n - 1)}
+	n := StripeCount()
+	return &stripedClock{shards: make([]paddedUint64, n), mask: n - 1}
 }
 
 func (s *stripedClock) snapshot() uint64 {
@@ -90,7 +86,7 @@ func (s *stripedClock) snapshot() uint64 {
 	return max
 }
 
-func (s *stripedClock) tick(rv, hint uint64) uint64 {
+func (s *stripedClock) tick(rv uint64, slot int) uint64 {
 	// floor is ≥ every snapshot completed before this tick began: such a
 	// snapshot saw some prefix of the monotone shard values, so its max
 	// is covered by the max scanned now (invariant 3).
@@ -98,7 +94,7 @@ func (s *stripedClock) tick(rv, hint uint64) uint64 {
 	if rv > floor {
 		floor = rv
 	}
-	sh := &s.shards[hint&s.mask].v
+	sh := &s.shards[slot&s.mask].v
 	for {
 		cur := sh.Load()
 		next := floor + 1

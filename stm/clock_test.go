@@ -16,7 +16,7 @@ func clocks() map[string]versionClock {
 func TestClockTickExceedsRV(t *testing.T) {
 	for name, c := range clocks() {
 		rv := c.snapshot()
-		for i := uint64(0); i < 100; i++ {
+		for i := 0; i < 100; i++ {
 			wv := c.tick(rv, i)
 			if wv <= rv {
 				t.Fatalf("%s: tick(rv=%d) = %d, want > rv", name, rv, wv)
@@ -28,8 +28,8 @@ func TestClockTickExceedsRV(t *testing.T) {
 
 func TestClockSnapshotCoversCompletedTicks(t *testing.T) {
 	for name, c := range clocks() {
-		for hint := uint64(0); hint < 2*maxClockShards; hint++ {
-			wv := c.tick(c.snapshot(), hint)
+		for slot := 0; slot < 2*maxStripes; slot++ {
+			wv := c.tick(c.snapshot(), slot)
 			if s := c.snapshot(); s < wv {
 				t.Fatalf("%s: snapshot = %d after tick returned %d", name, s, wv)
 			}
@@ -40,12 +40,12 @@ func TestClockSnapshotCoversCompletedTicks(t *testing.T) {
 func TestStripedClockSpreadsShards(t *testing.T) {
 	// A fixed 8-shard clock, independent of GOMAXPROCS.
 	c := &stripedClock{shards: make([]paddedUint64, 8), mask: 7}
-	for hint := uint64(0); hint < 8; hint++ {
-		c.tick(0, hint)
+	for slot := 0; slot < 8; slot++ {
+		c.tick(0, slot)
 	}
 	for i := range c.shards {
 		if c.shards[i].v.Load() == 0 {
-			t.Errorf("shard %d untouched by tick with its hint", i)
+			t.Errorf("shard %d untouched by tick from its slot", i)
 		}
 	}
 }
@@ -68,10 +68,10 @@ func TestStripedTickExceedsPriorSnapshots(t *testing.T) {
 func TestStripedClockSizing(t *testing.T) {
 	c := newStripedClock()
 	n := len(c.shards)
-	if n < 1 || n > maxClockShards || n&(n-1) != 0 {
-		t.Errorf("shard count %d: want a power of two in [1, %d]", n, maxClockShards)
+	if n < 1 || n > maxStripes || n&(n-1) != 0 {
+		t.Errorf("shard count %d: want a power of two in [1, %d]", n, maxStripes)
 	}
-	if c.mask != uint64(n-1) {
+	if c.mask != n-1 {
 		t.Errorf("mask %d does not match %d shards", c.mask, n)
 	}
 }
@@ -84,11 +84,11 @@ func TestClockConcurrentMonotonic(t *testing.T) {
 		errs := make(chan string, goroutines)
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
-			go func(hint uint64) {
+			go func(slot int) {
 				defer wg.Done()
 				for i := 0; i < ticks; i++ {
 					rv := c.snapshot()
-					wv := c.tick(rv, hint)
+					wv := c.tick(rv, slot)
 					if wv <= rv {
 						errs <- name + ": tick not past rv"
 						return
@@ -99,7 +99,7 @@ func TestClockConcurrentMonotonic(t *testing.T) {
 						return
 					}
 				}
-			}(uint64(g))
+			}(g)
 		}
 		wg.Wait()
 		close(errs)

@@ -17,10 +17,12 @@ import (
 // constructor.
 type engine interface {
 	// begin starts one transaction attempt. attempt counts restarts of
-	// the same Atomically call, so implementations can back off. In
-	// steady state the returned state comes from the engine's pool, so a
-	// conflict retry reuses the previous attempt's storage.
-	begin(attempt int) txState
+	// the same Atomically call, so implementations can back off. slot is
+	// the calling Tx handle's slot (counter.go): implementations stripe
+	// every per-attempt word they write by it. In steady state the
+	// returned state comes from the engine's pool, so a conflict retry
+	// reuses the previous attempt's storage.
+	begin(attempt, slot int) txState
 	// done hands a finished attempt's state back for reuse. The caller
 	// guarantees cleanup has run (locks released, writes rolled back or
 	// published) and that it will not touch st again; implementations

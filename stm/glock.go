@@ -23,7 +23,7 @@ type glockTx struct {
 	undo undoLog
 }
 
-func (e *glockEngine) begin(attempt int) txState {
+func (e *glockEngine) begin(int, int) txState {
 	tx, _ := e.pool.Get().(*glockTx)
 	if tx == nil {
 		tx = &glockTx{eng: e}

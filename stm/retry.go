@@ -13,8 +13,17 @@ type retrySignal struct{}
 // attempt-path operations are lock-free: snapshot is one atomic load,
 // and bump takes the mutex only when a waiter is registered, so writing
 // commits with nobody blocked pay a single fetch-and-add.
+//
+// seq is written by every writing commit and read by every attempt, so
+// it gets a cache line to itself, padded on both sides: without the
+// padding it shared a line with the Engine's impl and rec words, which
+// every attempt reads, and each commit's add invalidated them on every
+// other core. A striped seq was measured and not built: its snapshot
+// would scan every stripe on every attempt (EXPERIMENTS.md E15).
 type notifier struct {
+	_       [cacheLine]byte
 	seq     atomic.Uint64
+	_       [cacheLine]byte
 	waiters atomic.Int32
 	mu      sync.Mutex
 	cond    *sync.Cond

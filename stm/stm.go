@@ -46,8 +46,13 @@
 // — performs Get, Set, commit and rollback without touching the
 // allocator. Write and lock sets use a small-set fast path
 // (append-ordered slice, linear scan) and only allocate a map index past
-// stm.SmallSetSpill entries; engine counters are striped per core
-// (counter.go) rather than contended or mutex-guarded.
+// stm.SmallSetSpill entries. Every word an attempt writes for
+// bookkeeping — the engine counters, the tl2s clock shard, the adaptive
+// engine's window accounting — is striped by the Tx handle's slot, a
+// small integer each pooled handle is given round-robin when its engine
+// creates it (counter.go): the pool hands a core back the handle it last
+// used, so cores keep to their own cache lines instead of contending on
+// a shared or mutex-guarded word.
 //
 // Values flow through the engines as raw machine words (value.go), not
 // as `any`: NewTVar classifies the element type once, and Set/Get move
@@ -176,18 +181,22 @@ type Stats struct {
 // Engines are safe for concurrent use; TVars may be shared between
 // engines only if every access goes through the same engine.
 type Engine struct {
-	kind  EngineKind
-	impl  engine    // the algorithm (owns clocks, locks, shared state)
-	notif notifier  // wakes Retry-blocked transactions
-	rec   *Recorder // attempt-log sink (record.go); nil when not recording
+	kind EngineKind
+	impl engine    // the algorithm (owns clocks, locks, shared state)
+	rec  *Recorder // attempt-log sink (record.go); nil when not recording
 	// txPool recycles the public Tx handles; each engine pools its own
-	// txStates behind engine.done. Counters are striped per core so
-	// disjoint committers don't rendezvous on a stats word.
-	txPool  sync.Pool
-	commits stripedCounter
-	aborts  stripedCounter
-	retries stripedCounter
-	waits   stripedCounter
+	// txStates behind engine.done. A new handle takes the next of
+	// slotMask+1 slots round-robin from nextSlot, and the counters are
+	// striped by slot so disjoint committers don't rendezvous on a stats
+	// word (counter.go).
+	txPool   sync.Pool
+	nextSlot atomic.Uint64
+	slotMask int
+	commits  stripedCounter
+	aborts   stripedCounter
+	retries  stripedCounter
+	waits    stripedCounter
+	notif    notifier // wakes Retry-blocked transactions; seq on its own line
 }
 
 // newEngineShell wires the engine-independent parts (counters, notifier,
@@ -199,6 +208,7 @@ func newEngineShell(kind EngineKind, impl engine, opts ...Option) *Engine {
 	e.aborts = newStripedCounter()
 	e.retries = newStripedCounter()
 	e.waits = newStripedCounter()
+	e.slotMask = e.commits.mask
 	e.notif.init()
 	for _, opt := range opts {
 		opt(e)
@@ -451,8 +461,12 @@ func (tv *TVar[T]) Peek() T {
 // handle and the engine state behind it are pooled and reused by later
 // attempts. All operations delegate to the engine-specific txState.
 type Tx struct {
-	st  txState
-	rec *AttemptRecord // op log of this attempt; nil when not recording
+	st   txState
+	rec  *AttemptRecord // op log of this attempt; nil when not recording
+	slot int            // stripe of every bookkeeping word its attempts write
+	// Every attempt writes st and rec, and handles of different engines
+	// are allocated side by side, so a handle fills its cache line.
+	_ [cacheLine - 32]byte
 }
 
 // conflict is panicked to unwind a doomed transaction attempt; Atomically
@@ -474,30 +488,30 @@ func (e *Engine) Atomically(fn func(*Tx) error) error {
 // The Tx handle is taken from the engine's pool once per call and reused
 // across conflict retries; each attempt's engine state is likewise pooled
 // (engine.done/txState.reset), so the retry loop runs allocation-free in
-// steady state.
+// steady state. A handle gets its slot when it is created and keeps it.
 func (e *Engine) AtomicallyAs(proc int, fn func(*Tx) error) error {
 	tx, _ := e.txPool.Get().(*Tx)
 	if tx == nil {
-		tx = new(Tx)
+		tx = &Tx{slot: int(e.nextSlot.Add(1)-1) & e.slotMask}
 	}
-	hint := poolHint(unsafe.Pointer(tx))
+	slot := tx.slot
 	for attempt := 0; ; attempt++ {
 		err, again := e.once(tx, fn, attempt, proc)
 		switch again {
 		case conflicted:
-			e.retries.add(hint, 1)
+			e.retries.add(slot, 1)
 			continue
 		case woken:
-			e.waits.add(hint, 1)
+			e.waits.add(slot, 1)
 			continue
 		}
 		tx.st, tx.rec = nil, nil
 		e.txPool.Put(tx)
 		if err != nil {
-			e.aborts.add(hint, 1)
+			e.aborts.add(slot, 1)
 			return err
 		}
-		e.commits.add(hint, 1)
+		e.commits.add(slot, 1)
 		return nil
 	}
 }
@@ -526,7 +540,7 @@ func (e *Engine) once(tx *Tx, fn func(*Tx) error, attempt, proc int) (err error,
 	if e.rec != nil {
 		ar = e.rec.beginAttempt(proc, attempt)
 	}
-	tx.st, tx.rec = e.impl.begin(attempt), ar
+	tx.st, tx.rec = e.impl.begin(attempt, tx.slot), ar
 
 	defer func() {
 		if r := recover(); r != nil {

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 func init() {
@@ -39,11 +38,13 @@ type tl2Engine struct {
 func (e *tl2Engine) lockFailCount() uint64 { return e.lockFails.Load() }
 
 // tl2Tx is one TL2 transaction attempt: a read snapshot, a validated
-// read set, a buffered small-set write set in first-write order, and the
-// pooled scratch OrElse marks copy their prefixes into.
+// read set, a buffered small-set write set in first-write order, the
+// pooled scratch OrElse marks copy their prefixes into, and the slot
+// whose clock shard a commit ticks.
 type tl2Tx struct {
 	eng     *tl2Engine
 	rv      uint64
+	slot    int
 	reads   []readEntry
 	ws      writeSet
 	markBuf []writeEntry
@@ -54,13 +55,13 @@ type readEntry struct {
 	ver uint64
 }
 
-func (e *tl2Engine) begin(attempt int) txState {
+func (e *tl2Engine) begin(_, slot int) txState {
 	tx, _ := e.pool.Get().(*tl2Tx)
 	if tx == nil {
 		tx = &tl2Tx{eng: e}
 		tx.ws.init(e.spill)
 	}
-	tx.rv = e.clock.snapshot()
+	tx.rv, tx.slot = e.clock.snapshot(), slot
 	return tx
 }
 
@@ -164,7 +165,7 @@ func (tx *tl2Tx) commit() bool {
 		nlocked++
 	}
 
-	wv := tx.eng.clock.tick(tx.rv, tx.shardHint())
+	wv := tx.eng.clock.tick(tx.rv, tx.slot)
 
 	for _, r := range tx.reads {
 		l := r.tv.lock.Load()
@@ -188,14 +189,6 @@ func releaseLocked(es []writeEntry) {
 		tv := es[i].tv
 		tv.lock.Store(tv.lock.Load() &^ lockedBit)
 	}
-}
-
-// shardHint spreads concurrent committers over clock shards. The
-// attempt's own address is as good a hash as any: distinct live attempts
-// have distinct addresses, and the pool tends to hand a goroutine the
-// state it last used, so the shard choice is stable under steady load.
-func (tx *tl2Tx) shardHint() uint64 {
-	return poolHint(unsafe.Pointer(tx))
 }
 
 // abortCleanup: writes were buffered; nothing to roll back.

@@ -16,8 +16,8 @@ func init() {
 // corner" the PCL theorem is about — transactions that share no data
 // still serialize on that cache line, which is precisely why TL2 is not
 // disjoint-access-parallel. The striped variant spreads the clock over
-// per-shard padded counters (commit bumps one hint-selected shard with a
-// CAS to max(shard, rv)+1; a snapshot is the max over shards), so
+// per-shard padded counters (commit bumps its slot's shard with a CAS
+// to max(shard, rv)+1; a snapshot is the max over shards), so
 // disjoint committers touch disjoint cache lines and the clock stops
 // being a rendezvous point.
 //

@@ -42,7 +42,7 @@ type twoPLTx struct {
 	undo   undoLog
 }
 
-func (e *twoPLEngine) begin(attempt int) txState {
+func (e *twoPLEngine) begin(attempt, _ int) txState {
 	backoff(attempt)
 	tx, _ := e.pool.Get().(*twoPLTx)
 	if tx == nil {

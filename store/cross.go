@@ -8,13 +8,37 @@ import (
 	"pcltm/stm"
 )
 
-// rwMutexPadded is a sync.RWMutex on its own cache line so partitions'
-// escalation locks never false-share — a partition's RLock traffic must
-// stay partition-local or the whole disjoint-commit design leaks
-// coherence misses.
-type rwMutexPadded struct {
+// cacheLine is the coherence unit lockStripe is padded to.
+const cacheLine = 64
+
+// lockStripe is one slot's share of a partition's escalation lock. Every
+// RLock writes the mutex's reader count, so the stripe gets a full cache
+// line of padding on each side: whatever the allocation's alignment, no
+// other stripe — and no partition's engine or map pointer, which every
+// transaction reads — shares a line with it. Padding only after the
+// mutex was not enough: with partitions in the 112-byte size class,
+// partition 2's reader count shared a line with partition 1's pointers.
+type lockStripe struct {
+	_ [cacheLine]byte
 	sync.RWMutex
-	_ [64]byte
+	_ [cacheLine]byte
+}
+
+// lock takes every stripe of p's escalation lock exclusive, in stripe
+// order. Callers that lock several partitions do so in partition order,
+// so the global order is (partition, stripe) and two lockers never
+// deadlock.
+func (p *partition[K, V]) lock() {
+	for i := range p.locks {
+		p.locks[i].Lock()
+	}
+}
+
+// unlock releases every stripe, in reverse order.
+func (p *partition[K, V]) unlock() {
+	for i := len(p.locks) - 1; i >= 0; i-- {
+		p.locks[i].Unlock()
+	}
 }
 
 // fibMul and mix64 mirror tstructs' spreading pipeline; see
@@ -138,14 +162,14 @@ func (ct *CrossTx[K, V]) Delete(k K) bool {
 	return ok
 }
 
-// lock takes the escalation lock of every footprint partition, in
-// partition-id order. Callers hold nothing: growing the footprint
-// releases everything first (unlock), so acquisition is always
+// lock takes the escalation lock of every footprint partition — every
+// stripe — in partition-id order. Callers hold nothing: growing the
+// footprint releases everything first (unlock), so acquisition is always
 // ascending.
 func (ct *CrossTx[K, V]) lock() {
 	for i, want := range ct.foot {
 		if want {
-			ct.s.parts[i].mu.Lock()
+			ct.s.parts[i].lock()
 			ct.locked[i] = true
 		}
 	}
@@ -155,7 +179,7 @@ func (ct *CrossTx[K, V]) lock() {
 func (ct *CrossTx[K, V]) unlock() {
 	for i := len(ct.locked) - 1; i >= 0; i-- {
 		if ct.locked[i] {
-			ct.s.parts[i].mu.Unlock()
+			ct.s.parts[i].unlock()
 			ct.locked[i] = false
 		}
 	}
@@ -233,8 +257,9 @@ func (s *Store[K, V]) CrossSweep(fn func(ct *CrossTx[K, V]) error) error {
 // caller expects fn to read or write (any order; an index out of range
 // panics). It may be empty, a subset or a superset of what fn does:
 //
-//  1. Lock phase: the declared partitions' escalation locks are taken
-//     exclusive in partition-id order — the same total order Len uses,
+//  1. Lock phase: the declared partitions' escalation locks — every
+//     stripe of each — are taken exclusive in partition-id order, and
+//     stripe order within a partition — the same total order Len uses,
 //     so concurrent cross transactions (and Len) stay deadlock-free.
 //     Partitions outside the footprint are never locked: single-
 //     partition traffic there proceeds completely undisturbed.

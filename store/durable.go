@@ -114,7 +114,7 @@ type durableState[K comparable, V any] struct {
 	log   *wal.Log
 	codec Codec[K, V]
 	seq   []*stm.TVar[uint64] // per-partition commit sequence
-	bufs  sync.Pool           // *walBuf
+	bufs  sync.Pool           // *walBuf for cross commits' shares; a Part handle owns its own
 }
 
 // walBuf captures one transaction's write set as an encoded ops

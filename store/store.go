@@ -22,9 +22,17 @@
 // keys (CrossOn: the body runs once) or discovered by a first run under
 // no locks (Cross: the body runs at least twice); a body that strays
 // outside what is locked re-runs under the grown footprint either way.
-// Single-partition operations hold their partition's read lock only, so
-// they never coordinate with each other; they coordinate with a cross
-// transaction exactly when one is in flight on their partition.
+//
+// Each partition's escalation lock is striped: one cache-line-padded
+// read/write lock per slot, as many slots as stm.StripeCount. A
+// single-partition operation read-locks only the stripe of its Part
+// handle's slot (handles are pooled per store and get their slot
+// round-robin when created, so each core keeps to its own stripe), so
+// single-partition operations never coordinate with each other, not
+// even on a lock's reader count. Cross transactions and Len take every
+// stripe of a partition exclusive, in stripe order, nested inside the
+// partition order; they coordinate with single-partition work exactly
+// when they hold its partition.
 package store
 
 import (
@@ -32,6 +40,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"pcltm/stm"
 	"pcltm/tstructs"
@@ -57,12 +66,14 @@ type Config struct {
 }
 
 // partition is one keyspace shard: an engine, its map, and the
-// escalation lock single-partition work holds shared and Cross holds
-// exclusive.
+// escalation lock — one stripe per slot (cross.go) — whose stripes
+// single-partition work holds shared, one at a time, and Cross and Len
+// hold exclusive, all of them. Nothing here is written after
+// construction, so partitions cannot false-share with each other.
 type partition[K comparable, V any] struct {
-	mu     rwMutexPadded
 	engine *stm.Engine
 	m      *tstructs.TMap[K, V]
+	locks  []lockStripe
 }
 
 // Store is the partitioned transactional map. All methods are safe for
@@ -72,6 +83,16 @@ type Store[K comparable, V any] struct {
 	hash    func(K) uint64
 	shift   uint                // 64 - log2(len(parts)), for fibIndex-style routing
 	durable *durableState[K, V] // nil unless built by OpenDurable
+
+	// partPool recycles the Part handles run passes to its bodies; a new
+	// handle takes the next of slotMask+1 slots round-robin from
+	// nextSlot. The pool lives apart from the Store and a pooled handle
+	// points into no store: sync.Pool's global registry keeps a used pool
+	// and its contents reachable for up to two collections, and either
+	// path would keep a dropped store — its maps, its log — alive as long.
+	partPool *sync.Pool
+	nextSlot atomic.Uint64
+	slotMask int
 
 	// crossPool recycles CrossTx handles and their buffers (cross.go).
 	crossPool sync.Pool
@@ -111,10 +132,13 @@ func NewFunc[K comparable, V any](cfg Config, hash func(K) uint64) *Store[K, V] 
 		pow <<= 1
 		log++
 	}
+	stripes := stm.StripeCount()
 	s := &Store[K, V]{
 		parts:         make([]*partition[K, V], pow),
 		hash:          hash,
 		shift:         64 - log,
+		partPool:      new(sync.Pool),
+		slotMask:      stripes - 1,
 		dropCrossPart: -1,
 	}
 	for i := range s.parts {
@@ -125,6 +149,7 @@ func NewFunc[K comparable, V any](cfg Config, hash func(K) uint64) *Store[K, V] 
 		s.parts[i] = &partition[K, V]{
 			engine: stm.NewEngine(cfg.Engine, opts...),
 			m:      tstructs.NewTMapFunc[K, V](cfg.Buckets, hash),
+			locks:  make([]lockStripe, stripes),
 		}
 	}
 	return s
@@ -154,11 +179,18 @@ func (s *Store[K, V]) Engine(part int) *stm.Engine { return s.parts[part].engine
 // Part is the handle Atomically passes to its body: the partition's map
 // plus routing enforcement, so a same-partition transaction cannot
 // silently file a key under the wrong partition.
+//
+// Handles are recycled when the transaction returns: the body must not
+// keep the handle, exactly as it must not keep the stm.Tx.
 type Part[K comparable, V any] struct {
 	s    *Store[K, V]
 	part int
 	m    *tstructs.TMap[K, V]
 	buf  *walBuf // non-nil on a durable store: captures the write set
+	slot int     // the escalation-lock stripe this handle read-locks
+	// Every run writes s, part and m, and handles in use on different cores
+	// were allocated side by side, so a handle fills its cache line.
+	_ [cacheLine - 40]byte
 }
 
 // check panics when k is not owned by this handle's partition — a
@@ -215,7 +247,7 @@ func (p *Part[K, V]) Update(tx *stm.Tx, k K, fn func(v V, ok bool) V) V {
 }
 
 // Atomically runs fn as one transaction on partition part's engine,
-// under the partition's shared escalation lock. Every key fn touches
+// under one stripe of the partition's escalation lock, shared. Every key fn touches
 // must route to part (enforced per operation); transactions on other
 // partitions proceed concurrently with no shared state. On a durable
 // store a writing transaction additionally stamps the partition's
@@ -233,22 +265,30 @@ func (s *Store[K, V]) AtomicallyAs(part, proc int, fn func(tx *stm.Tx, p *Part[K
 }
 
 // run is the shared transaction path; proc < 0 means no explicit
-// process id.
+// process id. The handle comes from the store's pool, so passing it to
+// fn allocates nothing; on a durable store it owns the walBuf that
+// captures the write set. A body that panics takes its handle with it.
 func (s *Store[K, V]) run(part, proc int, fn func(tx *stm.Tx, p *Part[K, V]) error) error {
 	sp := s.parts[part]
-	sp.mu.RLock()
-	defer sp.mu.RUnlock()
-	h := Part[K, V]{s: s, part: part, m: sp.m}
+	h, _ := s.partPool.Get().(*Part[K, V])
+	if h == nil {
+		h = &Part[K, V]{slot: int(s.nextSlot.Add(1)-1) & s.slotMask}
+	}
+	h.s, h.part, h.m = s, part, sp.m
+	lk := &sp.locks[h.slot]
+	lk.RLock()
+	defer lk.RUnlock()
 	d := s.durable
-	if d != nil {
-		h.buf = d.bufs.Get().(*walBuf)
+	if d != nil && h.buf == nil {
+		// Handles made before OpenDurable armed the log (replay) have none.
+		h.buf = new(walBuf)
 	}
 	body := func(tx *stm.Tx) error {
 		if h.buf != nil {
 			// Reset per attempt: aborted speculation must not leak ops.
 			h.buf.reset()
 		}
-		if err := fn(tx, &h); err != nil {
+		if err := fn(tx, h); err != nil {
 			return err
 		}
 		if h.buf != nil && h.buf.nops > 0 {
@@ -268,14 +308,13 @@ func (s *Store[K, V]) run(part, proc int, fn func(tx *stm.Tx, p *Part[K, V]) err
 	} else {
 		err = sp.engine.AtomicallyAs(proc, body)
 	}
-	if h.buf != nil {
-		if err == nil && h.buf.nops > 0 {
-			if aerr := d.log.Append(part, h.buf.seq, h.buf.nops, h.buf.ops); aerr != nil {
-				err = &DurabilityError{Part: part, Seq: h.buf.seq, Err: aerr}
-			}
+	if h.buf != nil && err == nil && h.buf.nops > 0 {
+		if aerr := d.log.Append(part, h.buf.seq, h.buf.nops, h.buf.ops); aerr != nil {
+			err = &DurabilityError{Part: part, Seq: h.buf.seq, Err: aerr}
 		}
-		d.bufs.Put(h.buf)
 	}
+	h.s, h.m = nil, nil
+	s.partPool.Put(h)
 	return err
 }
 
@@ -317,9 +356,10 @@ func (s *Store[K, V]) Update(k K, fn func(v V, ok bool) V) {
 	})
 }
 
-// Len returns the exact entry count: it takes every partition's
-// escalation lock exclusive in partition order (the same total order
-// Cross uses, so the two never deadlock), which drains all in-flight
+// Len returns the exact entry count: it takes every stripe of every
+// partition's escalation lock exclusive, in partition order and stripe
+// order within a partition (the same total order Cross uses, so the two
+// never deadlock), which drains all in-flight
 // transactions store-wide, then sums the quiesced per-partition bucket
 // lengths. The count is therefore a true instantaneous snapshot even
 // against concurrent Cross transactions moving keys between partitions.
@@ -328,14 +368,14 @@ func (s *Store[K, V]) Update(k K, fn func(v V, ok bool) V) {
 // cheap monitoring, LenApprox reads without any exclusion.
 func (s *Store[K, V]) Len() int {
 	for _, p := range s.parts {
-		p.mu.Lock()
+		p.lock()
 	}
 	var n int
 	for _, p := range s.parts {
 		n += p.m.LenQuiesced()
 	}
 	for i := len(s.parts) - 1; i >= 0; i-- {
-		s.parts[i].mu.Unlock()
+		s.parts[i].unlock()
 	}
 	return n
 }
